@@ -1,360 +1,37 @@
-"""Disk-membership primitives and the y-sorted intersection search tree.
+"""Disk-membership masks and the prefix/suffix coverage scan.
 
-``members_in_union`` / ``members_in_intersection`` answer "which query points
-lie inside the union / intersection of a family of unit disks".  The default
-implementation is the exact pairwise scan; ``fast=True`` switches to an
-indexed path (grid hashing for the union, convex hull for the intersection)
-that must agree with the scan and exists purely as an accelerator.
+``union_mask`` / ``intersection_mask`` answer "which query points lie inside
+the union / intersection of a family of unit disks" by the exact pairwise
+test ``dist2 <= 1.0``.
 
-``ZStructure`` supports the prefix/suffix coverage queries used by the
-bidirectional-solution detector: for a probe p inside the source core, how
-long a prefix (suffix) of the y-sorted one-side points is entirely inside the
-unit disk of p.  Internally each tree node stores the intersection of its
-subtree's disks clipped to the core rectangle, represented as a y-monotone
-region bounded by circular-arc chains.
+``prefix_suffix_cover`` gives the coverage numbers used by the
+bidirectional-solution detector: for a probe p, how long a prefix (suffix) of
+one side's y-sorted outside points lies entirely inside the unit disk of p.
+Each scan stops at the first uncovered point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import InstanceError, ContractError, Point, Rect, dist2, in_rect
+from .model import InstanceError, Point, dist2
 
 
-def members_in_union(
-    centers: Sequence[Point], queries: Sequence[Point], fast: bool = False
-) -> list[Point]:
-    """Queries within distance 1 of some center, in input order."""
-    mask = union_mask(centers, queries, fast=fast)
-    return [q for q, m in zip(queries, mask) if m]
-
-
-def members_in_intersection(
-    centers: Sequence[Point], queries: Sequence[Point], fast: bool = False
-) -> list[Point]:
-    """Queries within distance 1 of every center, in input order."""
-    mask = intersection_mask(centers, queries, fast=fast)
-    return [q for q, m in zip(queries, mask) if m]
-
-
-def union_mask(
-    centers: Sequence[Point], queries: Sequence[Point], fast: bool = False
-) -> list[bool]:
+def union_mask(centers: Sequence[Point], queries: Sequence[Point]) -> list[bool]:
+    """For each query, whether it lies within distance 1 of some center."""
     if not centers:
         raise InstanceError("union membership needs a nonempty center set")
-    if fast:
-        grid = _DiskGrid(centers)
-        return [grid.covered(q) for q in queries]
     return [any(dist2(c, q) <= 1.0 for c in centers) for q in queries]
 
 
 def intersection_mask(
-    centers: Sequence[Point], queries: Sequence[Point], fast: bool = False
+    centers: Sequence[Point], queries: Sequence[Point]
 ) -> list[bool]:
+    """For each query, whether it lies within distance 1 of every center."""
     if not centers:
         raise InstanceError("intersection membership needs a nonempty center set")
-    if fast:
-        hull = _hull(centers)
-        return [all(dist2(c, q) <= 1.0 for c in hull) for q in queries]
     return [all(dist2(c, q) <= 1.0 for c in centers) for q in queries]
-
-
-class _DiskGrid:
-    """Unit-cell hash grid; a query is covered iff a center in the 3x3
-    neighborhood of its cell is within distance 1."""
-
-    def __init__(self, centers: Sequence[Point]):
-        self.cells: dict[tuple[int, int], list[Point]] = {}
-        for c in centers:
-            key = (math.floor(c.x), math.floor(c.y))
-            self.cells.setdefault(key, []).append(c)
-
-    def covered(self, q: Point) -> bool:
-        cx, cy = math.floor(q.x), math.floor(q.y)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for c in self.cells.get((cx + dx, cy + dy), ()):
-                    if dist2(c, q) <= 1.0:
-                        return True
-        return False
-
-
-def _hull(points: Sequence[Point]) -> list[Point]:
-    """Monotone-chain convex hull; the farthest point from any query lies on it."""
-    pts = sorted(set((p.x, p.y) for p in points))
-    if len(pts) <= 2:
-        return [Point(x, y) for x, y in pts]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return [Point(x, y) for x, y in lower[:-1] + upper[:-1]]
-
-
-# --- y-monotone regions bounded by circular arcs --------------------------
-#
-# A region is the intersection of unit disks with a core rectangle:
-#   { (x, y) : ylo <= y <= yhi,  left(y) <= x <= right(y) }
-# left(y)  = max( x0, max_i cx_i - g_i(y) )   (convex, each disk <= 1 arc)
-# right(y) = min( x1, min_i cx_i + g_i(y) )   (concave)
-# with g_i(y) = sqrt(1 - (y - cy_i)^2).  Chains store one arc per y-interval.
-
-_VERT = 0  # vertical segment x = c
-_LEFT = 1  # left disk branch   x = cx - g(y)
-_RIGHT = 2  # right disk branch x = cx + g(y)
-
-
-def _arc_eval(arc: tuple, y: float) -> float:
-    kind = arc[0]
-    if kind == _VERT:
-        return arc[1]
-    _, cx, cy = arc
-    t = 1.0 - (y - cy) * (y - cy)
-    g = math.sqrt(t) if t > 0.0 else 0.0
-    return cx - g if kind == _LEFT else cx + g
-
-
-class Region:
-    """Convex y-monotone region; ``chain_l``/``chain_r`` are lists of
-    (y_start, y_end, arc) covering [ylo, yhi]."""
-
-    __slots__ = ("ylo", "yhi", "chain_l", "chain_r", "empty")
-
-    def __init__(self, ylo, yhi, chain_l, chain_r, empty=False):
-        self.ylo = ylo
-        self.yhi = yhi
-        self.chain_l = chain_l
-        self.chain_r = chain_r
-        self.empty = empty
-
-    @staticmethod
-    def empty_region() -> "Region":
-        return Region(0.0, -1.0, [], [], empty=True)
-
-    @staticmethod
-    def from_core(core: Rect) -> "Region":
-        x0, x1, y0, y1 = core
-        return Region(
-            y0, y1, [(y0, y1, (_VERT, x0))], [(y0, y1, (_VERT, x1))]
-        )
-
-    def contains(self, p: Point) -> bool:
-        if self.empty or not (self.ylo <= p.y <= self.yhi):
-            return False
-        xl = _arc_eval(_chain_arc_at(self.chain_l, p.y), p.y)
-        xr = _arc_eval(_chain_arc_at(self.chain_r, p.y), p.y)
-        return xl <= p.x <= xr
-
-    def left_at(self, y: float) -> float:
-        return _arc_eval(_chain_arc_at(self.chain_l, y), y)
-
-    def right_at(self, y: float) -> float:
-        return _arc_eval(_chain_arc_at(self.chain_r, y), y)
-
-
-def _chain_arc_at(chain: list, y: float) -> tuple:
-    lo, hi = 0, len(chain) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if y <= chain[mid][1]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return chain[lo][2]
-
-
-def _circle_pair_ys(c1: Point, c2: Point) -> list[float]:
-    """y-coordinates of the intersection points of two unit circles."""
-    d2 = dist2(c1, c2)
-    if d2 == 0.0 or d2 > 4.0:
-        return []
-    h2 = 1.0 - d2 / 4.0
-    if h2 < 0.0:
-        return []
-    h = math.sqrt(h2)
-    d = math.sqrt(d2)
-    my = (c1.y + c2.y) / 2.0
-    ux = (c2.x - c1.x) / d
-    return [my + h * ux, my - h * ux]
-
-
-def _arc_crossings(a: tuple, b: tuple, ylo: float, yhi: float) -> list[float]:
-    """Candidate ys inside (ylo, yhi) where arcs a and b may cross.
-
-    Extra candidates are harmless: intervals are subdivided and the winner is
-    decided by midpoint evaluation.
-    """
-    ka, kb = a[0], b[0]
-    out: list[float] = []
-    if ka == _VERT and kb == _VERT:
-        return out
-    if ka == _VERT or kb == _VERT:
-        vert, circ = (a, b) if ka == _VERT else (b, a)
-        x0 = vert[1]
-        _, cx, cy = circ
-        t = 1.0 - (x0 - cx) * (x0 - cx)
-        if t >= 0.0:
-            r = math.sqrt(t)
-            out.extend([cy + r, cy - r])
-    else:
-        out.extend(_circle_pair_ys(Point(a[1], a[2]), Point(b[1], b[2])))
-    return [y for y in out if ylo < y < yhi]
-
-
-def _merge_chains(
-    ca: list, cb: list, ylo: float, yhi: float, take_max: bool
-) -> list:
-    """Pointwise max (or min) of two arc chains over [ylo, yhi]."""
-    if yhi < ylo:
-        return []
-    if yhi == ylo:
-        arc_a = _chain_arc_at(ca, ylo)
-        arc_b = _chain_arc_at(cb, ylo)
-        va, vb = _arc_eval(arc_a, ylo), _arc_eval(arc_b, ylo)
-        if take_max:
-            arc = arc_a if va >= vb else arc_b
-        else:
-            arc = arc_a if va <= vb else arc_b
-        return [(ylo, yhi, arc)]
-    cuts = {ylo, yhi}
-    for y0, y1, _ in ca:
-        cuts.update((y0, y1))
-    for y0, y1, _ in cb:
-        cuts.update((y0, y1))
-    base = sorted(c for c in cuts if ylo <= c <= yhi)
-    refined: list[float] = []
-    for i, y0 in enumerate(base[:-1]):
-        y1 = base[i + 1]
-        refined.append(y0)
-        inner = _arc_crossings(
-            _chain_arc_at(ca, (y0 + y1) / 2.0),
-            _chain_arc_at(cb, (y0 + y1) / 2.0),
-            y0,
-            y1,
-        )
-        refined.extend(sorted(inner))
-    refined.append(base[-1])
-    out: list = []
-    for i in range(len(refined) - 1):
-        y0, y1 = refined[i], refined[i + 1]
-        if y1 <= y0:
-            continue
-        ym = (y0 + y1) / 2.0
-        arc_a = _chain_arc_at(ca, ym)
-        arc_b = _chain_arc_at(cb, ym)
-        va, vb = _arc_eval(arc_a, ym), _arc_eval(arc_b, ym)
-        if take_max:
-            arc = arc_a if va >= vb else arc_b
-        else:
-            arc = arc_a if va <= vb else arc_b
-        if out and out[-1][2] == arc:
-            out[-1] = (out[-1][0], y1, arc)
-        else:
-            out.append((y0, y1, arc))
-    return out
-
-
-def _clip_chain(chain: list, ylo: float, yhi: float) -> list:
-    out = []
-    for y0, y1, arc in chain:
-        a, b = max(y0, ylo), min(y1, yhi)
-        if a <= b:
-            out.append((a, b, arc))
-    return out
-
-
-def intersect_regions(ra: Region, rb: Region) -> Region:
-    """Intersection of two regions of the same core; trims to feasibility."""
-    if ra.empty or rb.empty:
-        return Region.empty_region()
-    ylo = max(ra.ylo, rb.ylo)
-    yhi = min(ra.yhi, rb.yhi)
-    if yhi < ylo:
-        return Region.empty_region()
-    cl = _merge_chains(ra.chain_l, rb.chain_l, ylo, yhi, take_max=True)
-    cr = _merge_chains(ra.chain_r, rb.chain_r, ylo, yhi, take_max=False)
-
-    def gap(y: float) -> float:  # convex in y; region is where gap <= 0
-        return _arc_eval(_chain_arc_at(cl, y), y) - _arc_eval(_chain_arc_at(cr, y), y)
-
-    lo, hi = ylo, yhi
-    # ternary search for the minimizer of the convex gap
-    a, b = lo, hi
-    for _ in range(100):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if gap(m1) <= gap(m2):
-            b = m2
-        else:
-            a = m1
-    ymin = (a + b) / 2.0
-    if gap(ymin) > 0.0:
-        return Region.empty_region()
-    ya = _bisect_gap(gap, lo, ymin, rising=False)
-    yb = _bisect_gap(gap, ymin, hi, rising=True)
-    return Region(ya, yb, _clip_chain(cl, ya, yb), _clip_chain(cr, ya, yb))
-
-
-def _bisect_gap(gap, lo: float, hi: float, rising: bool) -> float:
-    """Boundary of {gap <= 0} on [lo, hi] given gap(one end) <= 0."""
-    if rising:
-        if gap(hi) <= 0.0:
-            return hi
-        a, b = lo, hi  # gap(a) <= 0 < gap(b)
-        for _ in range(80):
-            m = (a + b) / 2.0
-            if gap(m) <= 0.0:
-                a = m
-            else:
-                b = m
-        return a
-    if gap(lo) <= 0.0:
-        return lo
-    a, b = lo, hi  # gap(a) > 0 >= gap(b)
-    for _ in range(80):
-        m = (a + b) / 2.0
-        if gap(m) <= 0.0:
-            b = m
-        else:
-            a = m
-    return b
-
-
-def disk_region(core: Rect, c: Point) -> Region:
-    """core intersected with the unit disk around c."""
-    x0, x1, y0, y1 = core
-    ylo = max(y0, c.y - 1.0)
-    yhi = min(y1, c.y + 1.0)
-    if yhi < ylo:
-        return Region.empty_region()
-    base = Region(
-        ylo,
-        yhi,
-        [(ylo, yhi, (_VERT, x0))],
-        [(ylo, yhi, (_VERT, x1))],
-    )
-    disk = Region(
-        ylo,
-        yhi,
-        [(ylo, yhi, (_LEFT, c.x, c.y))],
-        [(ylo, yhi, (_RIGHT, c.x, c.y))],
-    )
-    return intersect_regions(base, disk)
-
-
-# --- the search tree -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -365,80 +42,8 @@ class ZValues:
     z_gt: int
 
 
-class _Node:
-    __slots__ = ("lo", "hi", "region", "left", "right")
-
-    def __init__(self, lo, hi, region, left=None, right=None):
-        self.lo = lo
-        self.hi = hi
-        self.region = region
-        self.left = left
-        self.right = right
-
-
-def _build_tree(points: Sequence[Point], core: Rect, lo: int, hi: int) -> _Node:
-    if lo == hi:
-        return _Node(lo, hi, disk_region(core, points[lo]))
-    mid = (lo + hi) // 2
-    left = _build_tree(points, core, lo, mid)
-    right = _build_tree(points, core, mid + 1, hi)
-    return _Node(lo, hi, intersect_regions(left.region, right.region), left, right)
-
-
-class ZStructure:
-    """Prefix/suffix disk-coverage queries over one side's y-sorted points."""
-
-    def __init__(self, sorted_points: Sequence[Point], core: Rect):
-        self.points = tuple(sorted_points)
-        self.core = core
-        self.k = len(self.points)
-        self.prefix_root = (
-            _build_tree(self.points, core, 0, self.k - 1) if self.k else None
-        )
-        rev = tuple(reversed(self.points))
-        self.suffix_root = _build_tree(rev, core, 0, self.k - 1) if self.k else None
-        self._rev = rev
-
-    def _descend(self, root: _Node, pts: Sequence[Point], p: Point, counter=None) -> int:
-        """Longest prefix of ``pts`` whose disks all contain p."""
-        node = root
-        while node.left is not None:
-            if counter is not None:
-                counter.append(node)
-            if node.left.region.contains(p):
-                node = node.right
-            else:
-                node = node.left
-        if counter is not None:
-            counter.append(node)
-        i = node.lo
-        return i + 1 if dist2(pts[i], p) <= 1.0 else i
-
-    def query(self, p: Point, counter=None) -> ZValues:
-        if self.k == 0:
-            return ZValues(0, 0)
-        z_le = self._descend(self.prefix_root, self.points, p, counter)
-        covered_suffix = self._descend(self.suffix_root, self._rev, p, counter)
-        return ZValues(z_le, self.k - covered_suffix)
-
-
-def build_z_structure(sorted_points: Sequence[Point], core: Rect) -> ZStructure:
-    """Build the search tree; ``sorted_points`` must be in (y, index) order."""
-    ys = [p.y for p in sorted_points]
-    if any(a > b for a, b in zip(ys, ys[1:])):
-        raise ContractError("points must be sorted by y before building the tree")
-    return ZStructure(sorted_points, core)
-
-
-def query_z(zs: ZStructure, p: Point, counter=None) -> ZValues:
-    """Prefix/suffix coverage of p's disk; p must lie inside the core."""
-    if not in_rect(zs.core, p):
-        raise ContractError("query point lies outside the source core")
-    return zs.query(p, counter)
-
-
-def prefix_suffix_oracle(points: Sequence[Point], p: Point) -> ZValues:
-    """Direct O(k) evaluation of the prefix/suffix definitions (test oracle)."""
+def prefix_suffix_cover(points: Sequence[Point], p: Point) -> ZValues:
+    """Longest prefix and suffix of ``points`` inside the unit disk of p."""
     k = len(points)
     z_le = 0
     while z_le < k and dist2(points[z_le], p) <= 1.0:

@@ -17,7 +17,8 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 NARROW_LIMIT = math.sqrt(3.0) / 2.0
 INF = math.inf
@@ -136,12 +137,31 @@ def make_instance(
 
 
 def _is_fragile(pts: Sequence[Point]) -> bool:
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = math.sqrt(dist2(pts[i], pts[j]))
-            if abs(d - 1.0) < FRAGILE_TOL:
-                return True
-    return False
+    # the band ends at distance 1 + FRAGILE_TOL; the doubled reach leaves
+    # room for rounding in the x-gap
+    return any(
+        abs(math.sqrt(dist2(pts[i], pts[j])) - 1.0) < FRAGILE_TOL
+        for i, j in _x_window_pairs(pts, 1.0 + 2.0 * FRAGILE_TOL)
+    )
+
+
+def _x_window_pairs(pts: Sequence[Point], reach: float) -> Iterator[tuple[int, int]]:
+    """Index pairs whose x-gap is at most ``reach``, from one x-sorted sweep.
+
+    Only a conservative prefilter: dist2 squares this same float x-gap, so a
+    dropped pair is farther apart than ``reach`` up to rounding, and strictly
+    farther than 1 when reach >= 1.  Callers decide every yielded pair with
+    their own exact test.
+    """
+    order = sorted(range(len(pts)), key=lambda i: pts[i].x)
+    xs = [pts[i].x for i in order]
+    n = len(order)
+    for a in range(n):
+        xa = xs[a]
+        b = a + 1
+        while b < n and xs[b] - xa <= reach:
+            yield order[a], order[b]
+            b += 1
 
 
 @dataclass(frozen=True)
@@ -164,11 +184,10 @@ def build_graph(instance: StripInstance) -> UnitDiskGraph:
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise InstanceError(f"point {i} has non-finite coordinates")
     nbrs: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist2(pts[i], pts[j]) <= 1.0:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
+    for i, j in _x_window_pairs(pts, 1.0):
+        if dist2(pts[i], pts[j]) <= 1.0:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
     return UnitDiskGraph(n, tuple(frozenset(s) for s in nbrs))
 
 
@@ -264,8 +283,12 @@ class BroadcastSet:
     def size(self) -> int:
         return len(self.active)
 
+    @cached_property
+    def _members(self) -> frozenset[int]:
+        return frozenset(self.active)
+
     def __contains__(self, i: int) -> bool:
-        return i in set(self.active)
+        return i in self._members
 
 
 def make_broadcast_set(instance: StripInstance, indices: Iterable[int]) -> BroadcastSet:

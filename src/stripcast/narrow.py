@@ -76,9 +76,7 @@ def _outside_indices(instance: StripInstance) -> list[int]:
     ]
 
 
-def compute_covering_sets(
-    instance: StripInstance, fast: bool = False
-) -> CoveringSets:
+def compute_covering_sets(instance: StripInstance) -> CoveringSets:
     """Classify points into right-/left-covering via the three-zone split.
 
     A point with x within 1/2 of the farthest outside point covers everything
@@ -105,7 +103,7 @@ def compute_covering_sets(
         if middle:
             lead = [i for i in outside if pts[i].x * sign >= anchor - 0.5]
             mask = geom.intersection_mask(
-                [pts[i] for i in lead], [pts[i] for i in middle], fast=fast
+                [pts[i] for i in lead], [pts[i] for i in middle]
             )
             covering.update(i for i, ok in zip(middle, mask) if ok)
         return tuple(sorted(covering))
@@ -141,31 +139,28 @@ def covering_sets_oracle(instance: StripInstance) -> CoveringSets:
     return CoveringSets(q_plus, q_minus, tuple(outside))
 
 
-def find_small(instance: StripInstance, fast: bool = False) -> BroadcastSet | None:
+def find_small(instance: StripInstance) -> BroadcastSet | None:
     """Solution of size 1 ({s} dominates) or 2 ({s, p} with p covering the rest)."""
     pts = instance.points
     s = instance.source
     outside = _outside_indices(instance)
     if not outside:
         return make_broadcast_set(instance, [s])
-    inside = [i for i in range(instance.n) if i not in set(outside)]
-    mask = geom.intersection_mask(
-        [pts[i] for i in outside], [pts[i] for i in inside], fast=fast
-    )
+    outside_set = set(outside)
+    inside = [i for i in range(instance.n) if i not in outside_set]
+    mask = geom.intersection_mask([pts[i] for i in outside], [pts[i] for i in inside])
     for i, ok in zip(inside, mask):
         if ok:
             return make_broadcast_set(instance, [s, i])
     return None
 
 
-def find_bidirectional(
-    instance: StripInstance, fast: bool = False
-) -> BroadcastSet | None:
+def find_bidirectional(instance: StripInstance) -> BroadcastSet | None:
     """Size-3 solution {s, p, p'} with both centers in the source core.
 
     p must cover a y-prefix of each side's outside points and p' the
-    complementary suffixes; existence is decided by a dominance sweep over
-    the prefix/suffix coverage numbers, the reported pair by the first
+    complementary suffixes.  The coverage numbers of every core point come
+    from the exact prefix/suffix scan; the reported pair is the first
     feasible pair in index order.
     """
     _require_narrow(instance)
@@ -183,37 +178,18 @@ def find_bidirectional(
         idx.sort(key=lambda i: (pts[i].y, i))
         return [pts[i] for i in idx]
 
-    left = geom.build_z_structure(side_points(-1), core)
-    right = geom.build_z_structure(side_points(+1), core)
+    left = side_points(-1)
+    right = side_points(+1)
     zvals = {}
     for i in cand:
-        zl = geom.query_z(left, pts[i])
-        zr = geom.query_z(right, pts[i])
+        zl = geom.prefix_suffix_cover(left, pts[i])
+        zr = geom.prefix_suffix_cover(right, pts[i])
         zvals[i] = (zl.z_le, zl.z_gt, zr.z_le, zr.z_gt)
 
     def pair_ok(a: int, b: int) -> bool:
         # a takes the prefixes, b the suffixes
         return zvals[a][0] >= zvals[b][1] and zvals[a][2] >= zvals[b][3]
 
-    # dominance sweep: sort suffix candidates by left-suffix need, grow the
-    # prefix pool, track the best right-prefix coverage seen so far
-    by_need = sorted(cand, key=lambda i: zvals[i][1], reverse=True)
-    by_cover = sorted(cand, key=lambda i: zvals[i][0], reverse=True)
-    best_right = -1
-    ptr = 0
-    found = False
-    for b in by_need:
-        need_left = zvals[b][1]
-        while ptr < len(by_cover) and zvals[by_cover[ptr]][0] >= need_left:
-            best_right = max(best_right, zvals[by_cover[ptr]][2])
-            ptr += 1
-        if best_right >= zvals[b][3] and any(
-            pair_ok(a, b) and a != b for a in by_cover[:ptr]
-        ):
-            found = True
-            break
-    if not found:
-        return None
     for a in cand:
         for b in cand:
             if a < b and (pair_ok(a, b) or pair_ok(b, a)):
@@ -225,13 +201,12 @@ def backward_level_sets(
     instance: StripInstance,
     side: str,
     covering: CoveringSets | None = None,
-    fast: bool = False,
     debug: bool = False,
 ) -> BackwardLevels:
     """Level the points backwards from one covering set toward the source disk."""
     _require_narrow(instance)
     if covering is None:
-        covering = compute_covering_sets(instance, fast=fast)
+        covering = compute_covering_sets(instance)
     if side not in ("+", "-"):
         raise ContractError("side must be '+' or '-'")
     sign = 1.0 if side == "+" else -1.0
@@ -242,7 +217,8 @@ def backward_level_sets(
         raise ContractError("backward levelling needs a nonempty covering set")
 
     levels = [tuple(first)]
-    pool = [i for i in range(instance.n) if i not in set(first)]
+    first_set = set(first)
+    pool = [i for i in range(instance.n) if i not in first_set]
     while True:
         cur = levels[-1]
         if any(dist2(pts[i], s) <= 1.0 for i in cur):
@@ -251,9 +227,7 @@ def backward_level_sets(
             return BackwardLevels(side, tuple(levels[:-1]), False)
         inner = min(pts[i].x * sign for i in cur)
         window = [i for i in pool if pts[i].x * sign >= inner - 1.0]
-        mask = geom.union_mask(
-            [pts[i] for i in cur], [pts[i] for i in window], fast=fast
-        )
+        mask = geom.union_mask([pts[i] for i in cur], [pts[i] for i in window])
         nxt = tuple(i for i, ok in zip(window, mask) if ok)
         if debug and nxt:
             _check_window_span(instance, sign, window, levels, nxt)
@@ -266,10 +240,10 @@ def _check_window_span(instance, sign, window, levels, nxt) -> None:
     # the window is consumed within two further rounds; cheap sanity check
     pts = instance.points
     s = instance.source_point
-    rest = [i for i in window if i not in set(nxt)]
+    reach = set(nxt)
+    rest = [i for i in window if i not in reach]
     if not rest:
         return
-    reach = set(nxt)
     for _ in range(2):
         frontier = [
             i
@@ -298,15 +272,13 @@ def walk_backward_path(
     return path
 
 
-def solve_narrow(instance: StripInstance, fast: bool = False) -> BroadcastSet:
+def solve_narrow(instance: StripInstance) -> BroadcastSet:
     """Minimum broadcast set on a narrow strip."""
-    result, _ = solve_narrow_detailed(instance, fast=fast)
+    result, _ = solve_narrow_detailed(instance)
     return result
 
 
-def solve_narrow_detailed(
-    instance: StripInstance, fast: bool = False
-) -> tuple[BroadcastSet, dict]:
+def solve_narrow_detailed(instance: StripInstance) -> tuple[BroadcastSet, dict]:
     """Like solve_narrow, also reporting the structure class and path witnesses."""
     _require_narrow(instance)
     graph = build_graph(instance)
@@ -317,22 +289,22 @@ def solve_narrow_detailed(
             witness=part.unreachable,
         )
 
-    small = find_small(instance, fast=fast)
+    small = find_small(instance)
     if small is not None:
         return small, {"kind": "small"}
-    bidi = find_bidirectional(instance, fast=fast)
+    bidi = find_bidirectional(instance)
     if bidi is not None:
         _must_be_valid(instance, graph, bidi)
         return bidi, {"kind": "bidirectional"}
 
-    covering = compute_covering_sets(instance, fast=fast)
+    covering = compute_covering_sets(instance)
     pts = instance.points
     s = instance.source
     sp = instance.source_point
     sides: dict[str, BackwardLevels] = {}
     for side, sign in (("+", 1.0), ("-", -1.0)):
         if any(pts[i].x * sign > 0.0 for i in covering.outside):
-            back = backward_level_sets(instance, side, covering, fast=fast)
+            back = backward_level_sets(instance, side, covering)
             if not back.reached:
                 raise InfeasibleError(
                     f"side {side} cannot be reached from the source disk",
@@ -344,10 +316,11 @@ def solve_narrow_detailed(
     paths: dict[str, list[int]] = {}
     if len(sides) == 2:
         bp, bm = sides["+"], sides["-"]
+        last_minus = set(bm.levels[-1])
         shared = [
             i
             for i in bp.levels[-1]
-            if i in set(bm.levels[-1]) and dist2(pts[i], sp) <= 1.0
+            if i in last_minus and dist2(pts[i], sp) <= 1.0
         ]
         if shared:
             second = min(shared)

@@ -1,21 +1,9 @@
-import math
 import random
 
 import pytest
 
-from stripcast.geom import (
-    ZValues,
-    build_z_structure,
-    disk_region,
-    intersect_regions,
-    intersection_mask,
-    members_in_intersection,
-    members_in_union,
-    prefix_suffix_oracle,
-    query_z,
-    union_mask,
-)
-from stripcast.model import ContractError, InstanceError, Point, dist2
+from stripcast.geom import ZValues, intersection_mask, prefix_suffix_cover, union_mask
+from stripcast.model import InstanceError, Point, dist2
 
 
 def P(*pairs):
@@ -23,30 +11,27 @@ def P(*pairs):
 
 
 def test_union_trivial():
-    got = members_in_union(P((0, 0)), P((0.5, 0), (2, 0)))
-    assert got == P((0.5, 0))
+    assert union_mask(P((0, 0)), P((0.5, 0), (2, 0))) == [True, False]
 
 
 def test_union_contains_centers():
     centers = P((0, 0), (3, 1))
-    assert members_in_union(centers, centers) == centers
+    assert union_mask(centers, centers) == [True, True]
 
 
 def test_union_empty_centers_rejected():
     with pytest.raises(InstanceError):
-        members_in_union([], P((0, 0)))
+        union_mask([], P((0, 0)))
     with pytest.raises(InstanceError):
-        members_in_intersection([], P((0, 0)))
+        intersection_mask([], P((0, 0)))
 
 
 def test_intersection_trivial():
-    got = members_in_intersection(P((0, 0), (1, 0)), P((0.5, 0)))
-    assert got == P((0.5, 0))
-    assert members_in_intersection(P((0, 0), (2.5, 0)), P((1.2, 0))) == []
+    assert intersection_mask(P((0, 0), (1, 0)), P((0.5, 0))) == [True]
+    assert intersection_mask(P((0, 0), (2.5, 0)), P((1.2, 0))) == [False]
 
 
-@pytest.mark.parametrize("fast", [False, True])
-def test_membership_matches_pairwise_oracle(fast):
+def test_membership_matches_pairwise_oracle():
     rng = random.Random(17)
     for trial in range(30):
         k = 200 if trial == 0 else rng.randrange(1, 51)
@@ -55,160 +40,43 @@ def test_membership_matches_pairwise_oracle(fast):
         queries = P(*[(rng.uniform(-4, 4), rng.uniform(-3, 3)) for _ in range(nq)])
         union = [any(dist2(c, q) <= 1.0 for c in centers) for q in queries]
         inter = [all(dist2(c, q) <= 1.0 for c in centers) for q in queries]
-        assert union_mask(centers, queries, fast=fast) == union
-        assert intersection_mask(centers, queries, fast=fast) == inter
-
-
-def core(w=0.8):
-    return (-0.5, 0.5, 0.0, w)
+        assert union_mask(centers, queries) == union
+        assert intersection_mask(centers, queries) == inter
 
 
 def test_z_structure_empty():
-    zs = build_z_structure([], core())
-    assert query_z(zs, Point(0.0, 0.1)) == ZValues(0, 0)
+    assert prefix_suffix_cover([], Point(0.0, 0.1)) == ZValues(0, 0)
 
 
 def test_z_structure_single_disk():
     u = Point(-1.2, 0.4)
-    zs = build_z_structure([u], core())
     covered = Point(-0.4, 0.4)
     uncovered = Point(0.4, 0.4)
     assert dist2(u, covered) <= 1.0 < dist2(u, uncovered)
-    assert query_z(zs, covered) == ZValues(1, 0)
-    assert query_z(zs, uncovered) == ZValues(0, 1)
-    # root region equals core intersect disk
-    root = zs.prefix_root.region
-    assert root.contains(covered)
-    assert not root.contains(uncovered)
+    assert prefix_suffix_cover([u], covered) == ZValues(1, 0)
+    assert prefix_suffix_cover([u], uncovered) == ZValues(0, 1)
 
 
 def test_z_all_or_none():
-    pts = sorted(
-        [Point(-1.05, 0.1 * i) for i in range(5)], key=lambda p: p.y
-    )
-    zs = build_z_structure(pts, core())
-    assert query_z(zs, Point(-0.2, 0.2)) == ZValues(5, 0)
-    assert query_z(zs, Point(0.5, 0.7)) == ZValues(0, 5)
-
-
-def test_query_outside_core_rejected():
-    zs = build_z_structure([Point(-1.2, 0.4)], core())
-    with pytest.raises(ContractError):
-        query_z(zs, Point(2.0, 0.4))
-
-
-def test_unsorted_points_rejected():
-    with pytest.raises(ContractError):
-        build_z_structure([Point(-1.2, 0.5), Point(-1.2, 0.1)], core())
-
-
-def _random_side_points(rng, k, w):
-    pts = [Point(rng.uniform(-2.2, -0.55), rng.uniform(0, w)) for _ in range(k)]
-    return sorted(pts, key=lambda p: p.y)
+    pts = [Point(-1.05, 0.1 * i) for i in range(5)]
+    assert prefix_suffix_cover(pts, Point(-0.2, 0.2)) == ZValues(5, 0)
+    assert prefix_suffix_cover(pts, Point(0.5, 0.7)) == ZValues(0, 5)
 
 
 def test_query_z_matches_prefix_oracle():
+    # against the definitions: the longest prefix whose disks all contain p,
+    # and the least i whose suffix disks all contain p
     rng = random.Random(99)
     for trial in range(150):
         w = rng.choice([0.3, 0.6, 0.86])
         k = rng.randrange(0, 11)
-        pts = _random_side_points(rng, k, w)
-        zs = build_z_structure(pts, core(w))
+        pts = sorted(
+            (Point(rng.uniform(-2.2, -0.55), rng.uniform(0, w)) for _ in range(k)),
+            key=lambda p: p.y,
+        )
         for _ in range(15):
             p = Point(rng.uniform(-0.5, 0.5), rng.uniform(0, w))
-            assert query_z(zs, p) == prefix_suffix_oracle(pts, p)
-
-
-def test_each_disk_contributes_at_most_one_arc():
-    rng = random.Random(44)
-    w = 0.86
-    for _ in range(40):
-        k = rng.randrange(2, 9)
-        pts = _random_side_points(rng, k, w)
-        zs = build_z_structure(pts, core(w))
-
-        def walk(node):
-            for chain in (node.region.chain_l, node.region.chain_r):
-                seen = set()
-                last = None
-                for _, _, arc in chain:
-                    if arc != last:
-                        assert arc not in seen, "arc re-enters the boundary"
-                        seen.add(arc)
-                    last = arc
-            if node.left is not None:
-                walk(node.left)
-                walk(node.right)
-
-        walk(zs.prefix_root)
-
-
-def test_node_regions_equal_child_intersection_by_sampling():
-    rng = random.Random(5)
-    w = 0.8
-    pts = _random_side_points(rng, 8, w)
-    zs = build_z_structure(pts, core(w))
-
-    def walk(node):
-        if node.left is None:
-            return
-        for _ in range(1000):
-            p = Point(rng.uniform(-0.5, 0.5), rng.uniform(0, w))
-            want = node.left.region.contains(p) and node.right.region.contains(p)
-            assert node.region.contains(p) == want
-            direct = all(
-                dist2(pts[i], p) <= 1.0 for i in range(node.lo, node.hi + 1)
-            )
-            assert node.region.contains(p) == direct
-        walk(node.left)
-        walk(node.right)
-
-    walk(zs.prefix_root)
-
-
-def test_descent_is_single_root_to_leaf_path():
-    rng = random.Random(21)
-    w = 0.7
-    for k in (1, 2, 5, 8, 16):
-        pts = _random_side_points(rng, k, w)
-        zs = build_z_structure(pts, core(w))
-        counter = []
-        query_z(zs, Point(0.0, 0.3), counter)
-        # two descents (prefix + suffix tree), each one root-to-leaf path
-        per_tree = math.ceil(math.log2(k)) + 1 if k > 1 else 1
-        assert len(counter) <= 2 * per_tree
-
-
-def test_empty_region_mid_tree_is_kept():
-    # two far-apart disks: their intersection with the core is empty
-    pts = sorted([Point(-1.4, 0.05), Point(-1.4, 0.75)], key=lambda p: p.y)
-    zs = build_z_structure(pts, core(0.8))
-    root = zs.prefix_root
-    probe = Point(-0.45, 0.4)
-    assert not root.region.contains(probe)
-    got = query_z(zs, probe)
-    assert got == prefix_suffix_oracle(pts, probe)
-
-
-def test_disk_region_matches_direct_test():
-    rng = random.Random(3)
-    for _ in range(50):
-        w = rng.choice([0.4, 0.8])
-        c = Point(rng.uniform(-1.6, -0.55), rng.uniform(0, w))
-        reg = disk_region(core(w), c)
-        for _ in range(200):
-            p = Point(rng.uniform(-0.5, 0.5), rng.uniform(0, w))
-            assert reg.contains(p) == (dist2(c, p) <= 1.0)
-
-
-def test_intersect_regions_pairwise():
-    rng = random.Random(13)
-    w = 0.8
-    for _ in range(30):
-        a = Point(rng.uniform(-1.5, -0.55), rng.uniform(0, w))
-        b = Point(rng.uniform(-1.5, -0.55), rng.uniform(0, w))
-        reg = intersect_regions(disk_region(core(w), a), disk_region(core(w), b))
-        for _ in range(200):
-            p = Point(rng.uniform(-0.5, 0.5), rng.uniform(0, w))
-            want = dist2(a, p) <= 1.0 and dist2(b, p) <= 1.0
-            assert reg.contains(p) == want
+            inside = [dist2(q, p) <= 1.0 for q in pts]
+            z_le = max(j for j in range(k + 1) if all(inside[:j]))
+            z_gt = min(j for j in range(k + 1) if all(inside[j:]))
+            assert prefix_suffix_cover(pts, p) == ZValues(z_le, z_gt)

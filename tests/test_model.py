@@ -1,12 +1,15 @@
 import math
+import random
 
 import pytest
 
 from stripcast.model import (
+    FRAGILE_TOL,
     ContractError,
     InstanceError,
     NARROW_LIMIT,
     Point,
+    _is_fragile,
     build_graph,
     compute_levels,
     core_region,
@@ -81,6 +84,60 @@ def test_fragility_flag():
     assert inst.fragile
     quiet = make_instance([(0.0, 0.0), (0.5, 0.0)])
     assert not quiet.fragile
+
+
+def _lattice_ulp_corpus(seed=0, trials=400):
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(trials):
+        w = rng.choice([0.5, 0.75, NARROW_LIMIT])
+        coords = [(0.0, rng.choice([0.0, w / 2, w]))]
+        for _ in range(rng.randrange(2, 10)):
+            x = 0.25 * rng.randrange(-12, 13)
+            r = rng.random()
+            if r < 0.2:
+                x = math.nextafter(x, math.inf)
+            elif r < 0.4:
+                x = math.nextafter(x, -math.inf)
+            coords.append((x, rng.choice([0.0, w / 2, w])))
+        corpus.append((coords, w))
+    # hand-placed: x-gap exactly 1.0, and distance 1 +- 5e-10 (inside the
+    # fragile band) along the strip and across it
+    w = NARROW_LIMIT
+    for x0 in (0.75, -2.5):
+        corpus.append(([(0.0, w), (x0, 0.0), (x0 + 1.0, 0.0)], w))
+        for d in (1.0 + 5e-10, 1.0 - 5e-10):
+            corpus.append(([(0.0, w), (x0, 0.0), (x0 + d, 0.0)], w))
+            dx = math.sqrt(d * d - w * w)
+            corpus.append(([(0.0, w / 2), (x0, 0.0), (x0 + dx, w)], w))
+    return corpus
+
+
+def test_sweep_matches_all_pairs_definition():
+    mismatches = []
+    seen = {"edge at dx 1": 0, "band beyond dx 1": 0, "fragile": 0, "robust": 0}
+    for coords, w in _lattice_ulp_corpus():
+        inst = make_instance(coords, width=w, warn_fragile=False)
+        pts = inst.points
+        adj = [set() for _ in pts]
+        fragile = False
+        for i in range(inst.n):
+            for j in range(i + 1, inst.n):
+                d2 = dist2(pts[i], pts[j])
+                gap = abs(pts[i].x - pts[j].x)
+                if d2 <= 1.0:
+                    adj[i].add(j)
+                    adj[j].add(i)
+                    seen["edge at dx 1"] += gap == 1.0
+                if abs(math.sqrt(d2) - 1.0) < FRAGILE_TOL:
+                    fragile = True
+                    seen["band beyond dx 1"] += gap > 1.0
+        seen["fragile" if fragile else "robust"] += 1
+        want = tuple(frozenset(s) for s in adj)
+        if build_graph(inst).adj != want or _is_fragile(pts) != fragile:
+            mismatches.append(coords)
+    assert mismatches == []
+    assert all(seen.values()), seen
 
 
 def test_levels_chain():
@@ -186,6 +243,8 @@ def test_broadcast_set_requires_source():
         make_broadcast_set(inst, [1, 2])
     bs = make_broadcast_set(inst, [2, 0])
     assert bs.active == (0, 2)
+    assert 2 in bs and 1 not in bs
+    assert bs == make_broadcast_set(inst, [0, 2])
 
 
 def test_coincident_points_are_adjacent():

@@ -262,19 +262,6 @@ def test_solve_narrow_shared_second_vertex_shape():
     assert got.size == brute_min_broadcast(inst).size
 
 
-def test_fast_membership_path_gives_identical_solutions():
-    for seed in range(40):
-        n = 4 + seed % 9
-        inst = gen_random_strip(n, 0.6, seed + 5200, min_sep=0.05)
-        try:
-            slow = solve_narrow(inst, fast=False)
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                solve_narrow(inst, fast=True)
-            continue
-        assert solve_narrow(inst, fast=True).active == slow.active
-
-
 def test_detailed_path_witnesses_are_paths():
     graph_checked = 0
     for seed in range(80):
