@@ -59,14 +59,20 @@ def run_solver(instance: StripInstance, algo: str, hops: int | None) -> Broadcas
     return result
 
 
+def _report_infeasible(exc: InfeasibleError) -> int:
+    print(f"infeasible: {exc.reason}")
+    if exc.witness:
+        print("witness: " + " ".join(str(i) for i in exc.witness))
+    return EXIT_INFEASIBLE
+
+
 def _cmd_solve(args) -> int:
     instance = io_cli.load_instance(args.file)
     hops = args.hops if args.hops is not None else instance.hops
     try:
         result = run_solver(instance, args.algo, hops)
     except InfeasibleError as exc:
-        print(f"infeasible: {exc.reason}")
-        return EXIT_INFEASIBLE
+        return _report_infeasible(exc)
     report = validate_broadcast(instance, result, hops=hops)
     print(f"size {result.size}")
     print("active: " + " ".join(str(i) for i in result.active))
@@ -191,8 +197,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except InfeasibleError as exc:
-        print(f"infeasible: {exc.reason}")
-        return EXIT_INFEASIBLE
+        return _report_infeasible(exc)
 
 
 if __name__ == "__main__":

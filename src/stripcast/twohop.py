@@ -123,35 +123,50 @@ def compute_next(ai: AngularInstance, i: int, disk: int | None = None) -> int:
     return best
 
 
+def _runs_after_prefix(ai: AngularInstance, i: int, disk: int) -> list[tuple[int, int]]:
+    """The disk's covered runs read cyclically from position i, minus the
+    prefix run that starts at i (empty when the disk misses i).
+
+    Each run is ``(start_off, end_off)``, inclusive offsets from i in
+    ``[0, m)``.  One pass over the disk's coverage mask rotated to start at i.
+    """
+    m = ai.m
+    cover = ai.covers[disk]
+    rot = ((cover >> i) | (cover << (m - i))) & ((1 << m) - 1)
+    prefix = (rot ^ (rot + 1)).bit_length() - 1  # trailing covered offsets
+    rest = rot >> prefix << prefix
+    runs = []
+    while rest:
+        low = rest & -rest
+        carry = rest + low  # clears the lowest run, sets the bit after it
+        runs.append((low.bit_length() - 1, (carry & -carry).bit_length() - 2))
+        rest &= carry
+    return runs
+
+
 def interval_set(ai: AngularInstance, i: int, j: int, disk: int) -> list[tuple[int, int]]:
     """Split pairs induced by the disk's covered runs inside [i, j] beyond its
     initial prefix: one (before-run, after-run) position pair per run."""
     m = ai.m
     length = (j - i) % m + 1
-    covered = [bool(ai.covers[disk] >> ((i + off) % m) & 1) for off in range(length)]
-    off = 0
-    while off < length and covered[off]:
-        off += 1
-    pairs = []
-    while off < length:
-        if not covered[off]:
-            off += 1
-            continue
-        start = off
-        while off < length and covered[off]:
-            off += 1
-        a = (i + start) % m
-        b = (i + off - 1) % m
-        pairs.append(((a - 1) % m, (b + 1) % m))
-    return pairs
+    return [
+        ((i + start_off - 1) % m, (i + min(end_off, length - 1) + 1) % m)
+        for start_off, end_off in _runs_after_prefix(ai, i, disk)
+        if start_off < length
+    ]
 
 
 @dataclass
 class CoverTable:
-    """Circular-interval cover costs A[(start, length)] with witness choices."""
+    """Circular-interval cover costs with witness choices.
+
+    ``values[length][start]`` is the fewest disks covering the ``length``
+    positions from ``start`` on (row 0 is all zeros); ``choice[(start,
+    length)]`` is the split that attains it.
+    """
 
     ai: AngularInstance
-    values: dict[tuple[int, int], int]
+    values: list[list[int]]
     choice: dict[tuple[int, int], tuple]
     next1: dict[int, int]
     nextd: dict[tuple[int, int], int]
@@ -159,11 +174,18 @@ class CoverTable:
     def lookup(self, start: int, length: int) -> int:
         if length <= 0:
             return 0
-        return self.values[(start, length)]
+        return self.values[length][start]
 
 
 def cover_dp(ai: AngularInstance) -> CoverTable:
-    """Fill every proper circular interval by increasing length."""
+    """Fill every proper circular interval by increasing length.
+
+    A cell [i, i + length) is covered either by one disk, or by the disk
+    reaching farthest from i plus the rest, or by a disk d covering i whose
+    later covered run splits the rest into a left and a right part.  Each
+    disk's runs are read once per start; the O(m^2) cells then only walk
+    their start's (disk, run) pairs.
+    """
     m = ai.m
     nextd = {}
     for i in range(m):
@@ -171,54 +193,53 @@ def cover_dp(ai: AngularInstance) -> CoverTable:
             nextd[(i, d)] = compute_next(ai, i, d)
     next1 = {i: compute_next(ai, i) for i in range(m)}
 
-    values: dict[tuple[int, int], int] = {}
+    # per start, hoisted out of the length loop: every disk's reach, the
+    # smallest disk reaching farthest, and the disks with runs after the prefix
+    reach = []
+    prefix_disk = []
+    rows = []
+    for i in range(m):
+        reach.append([((nextd[(i, d)] - i) % m, d) for d in ai.disks_at[i]])
+        off1 = (next1[i] - i) % m
+        prefix_disk.append(min(d for offd, d in reach[i] if offd == off1))
+        row = []
+        for offd, d in reach[i]:
+            runs = _runs_after_prefix(ai, i, d)
+            if runs:
+                row.append((offd, d, nextd[(i, d)], runs))
+        rows.append(row)
+
+    values = [[0] * m]
     choice: dict[tuple[int, int], tuple] = {}
-
-    def sub(start: int, length: int) -> int:
-        return 0 if length <= 0 else values[(start, length)]
-
     for length in range(1, m):
+        cur = [0] * m
         for i in range(m):
-            j = (i + length - 1) % m
-            best = None
-            pick = None
-            # best single-disk prefix
             nx = next1[i]
-            off = (nx - i) % m
-            if off >= length:
-                d_best = min(
-                    d for d in ai.disks_at[i] if (nextd[(i, d)] - i) % m >= length
+            off1 = (nx - i) % m
+            if off1 >= length:
+                cur[i] = 1
+                choice[(i, length)] = (
+                    "one",
+                    min(d for offd, d in reach[i] if offd >= length),
                 )
-                best, pick = 1, ("one", d_best)
-            else:
-                cand = 1 + sub(nx, length - off)
-                d_best = min(d for d in ai.disks_at[i] if nextd[(i, d)] == nx)
-                best, pick = cand, ("prefix", d_best, (nx, length - off))
-                for d in ai.disks_at[i]:
-                    nxd = nextd[(i, d)]
-                    offd = (nxd - i) % m
-                    if offd >= length:
-                        if 1 < best:
-                            best, pick = 1, ("one", d)
-                        continue
-                    for a, b in interval_set(ai, i, j, d):
-                        offa = (a - i) % m
-                        offb = (b - i) % m
-                        left_len = offa - offd + 1
-                        right_len = length - offb
-                        cand = 1 + sub(nxd, left_len) + (
-                            sub(b, right_len) if right_len > 0 else 0
-                        )
-                        if cand < best:
-                            best = cand
-                            pick = (
-                                "pair",
-                                d,
-                                (nxd, left_len),
-                                (b, right_len),
-                            )
-            values[(i, length)] = best
+                continue
+            best = 1 + values[length - off1][nx]
+            pick = ("prefix", prefix_disk[i], (nx, length - off1))
+            # offd <= off1 < length here, so every row's left part is nonempty
+            for offd, d, nxd, runs in rows[i]:
+                for start_off, end_off in runs:
+                    if start_off >= length:
+                        break
+                    offb = min(end_off, length - 1) + 1
+                    b = (i + offb) % m
+                    left_len = start_off - offd
+                    cand = 1 + values[left_len][nxd] + values[length - offb][b]
+                    if cand < best:
+                        best = cand
+                        pick = ("pair", d, (nxd, left_len), (b, length - offb))
+            cur[i] = best
             choice[(i, length)] = pick
+        values.append(cur)
     return CoverTable(ai, values, choice, next1, nextd)
 
 

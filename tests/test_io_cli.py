@@ -196,6 +196,7 @@ def test_cli_solve_infeasible_exit_code(tmp_path):
     code, out = run_cli(["solve", path])
     assert code == 2
     assert out.startswith("infeasible:")
+    assert out.splitlines()[1] == "witness: 1"
 
 
 def test_cli_solve_error_exit_code(tmp_path):

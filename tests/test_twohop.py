@@ -13,6 +13,7 @@ from stripcast.model import (
 )
 from stripcast.oracle import brute_min_broadcast
 from stripcast.twohop import (
+    _collect_disks,
     angular_order,
     boundary_sequence,
     compute_next,
@@ -207,6 +208,34 @@ def test_cover_dp_matches_exhaustive_cover():
                 assert table.lookup(i, length) == brute_cover(ai, i, length)
 
 
+def reevaluate(table, i, length):
+    """One cell of the cover recurrence, from interval_set and the table."""
+    ai = table.ai
+    m = ai.m
+    j = (i + length - 1) % m
+    nx = table.next1[i]
+    off = (nx - i) % m
+    if off >= length:
+        return 1
+    best = 1 + table.lookup(nx, length - off)
+    for d in ai.disks_at[i]:
+        nxd = table.nextd[(i, d)]
+        offd = (nxd - i) % m
+        if offd >= length:
+            best = min(best, 1)
+            continue
+        for a, b in interval_set(ai, i, j, d):
+            offa = (a - i) % m
+            offb = (b - i) % m
+            cand = (
+                1
+                + table.lookup(nxd, offa - offd + 1)
+                + table.lookup(b, length - offb)
+            )
+            best = min(best, cand)
+    return best
+
+
 def test_cover_dp_self_consistent():
     # re-evaluating every filled cell from the recursion changes nothing
     checked = 0
@@ -223,30 +252,39 @@ def test_cover_dp_self_consistent():
         table = cover_dp(ai)
         for i in range(m):
             for length in range(1, m):
-                j = (i + length - 1) % m
-                best = None
-                nx = table.next1[i]
-                off = (nx - i) % m
-                if off >= length:
-                    best = 1
-                else:
-                    best = 1 + table.lookup(nx, length - off)
-                    for d in ai.disks_at[i]:
-                        nxd = table.nextd[(i, d)]
-                        offd = (nxd - i) % m
-                        if offd >= length:
-                            best = min(best, 1)
-                            continue
-                        for a, b in interval_set(ai, i, j, d):
-                            offa = (a - i) % m
-                            offb = (b - i) % m
-                            cand = (
-                                1
-                                + table.lookup(nxd, offa - offd + 1)
-                                + table.lookup(b, length - offb)
-                            )
-                            best = min(best, cand)
-                assert table.lookup(i, length) == best
+                assert table.lookup(i, length) == reevaluate(table, i, length)
+
+
+def test_cover_dp_recurrence_and_witnesses_at_benchmark_scale():
+    # at n = 80 almost every (start, disk) pair has a covered run after its
+    # prefix; at the n <= 12 of the tests above few do
+    checked = 0
+    trial = 0
+    split_cells = 0
+    while checked < 4:
+        inst = gen_planar(80, 880_000 + trial)
+        trial += 1
+        ai = angular_order(inst)
+        m = ai.m
+        full = (1 << m) - 1
+        if any(c == full for c in ai.covers):
+            continue
+        checked += 1
+        table = cover_dp(ai)
+        for i in range(m):
+            for length in range(1, m):
+                value = table.lookup(i, length)
+                assert value == reevaluate(table, i, length)
+                split_cells += table.choice[(i, length)][0] == "pair"
+                disks = set()
+                _collect_disks(table, i, length, disks)
+                assert len(disks) <= value
+                union = 0
+                for d in disks:
+                    union |= ai.covers[d]
+                for off in range(length):
+                    assert union >> ((i + off) % m) & 1
+    assert split_cells > 0
 
 
 def test_cover_dp_single_disk_intervals():
@@ -312,3 +350,78 @@ def test_strip_instances_accepted():
             continue
         want = brute_min_broadcast(inst, hops=2)
         assert got.size == want.size
+
+
+def _lattice_ulp_planar_corpus(seed=0, trials=1500):
+    """Planar draws around a source at the origin on the 0.25 lattice in
+    [-2, 2]^2; about 40% of x coordinates are moved one ulp either way, so
+    many pairs sit within an ulp of the unit radius.  One to three relays lie
+    in the source disk, most other points a lattice step 0.5-1 from a relay,
+    and a few anywhere in the radius-2 disk (often uncoverable)."""
+    rng = random.Random(seed)
+    steps = range(-8, 9)
+
+    def lattice(lo, hi):
+        while True:
+            i, j = rng.choice(steps), rng.choice(steps)
+            if 16 * lo * lo <= i * i + j * j <= 16 * hi * hi:
+                return (0.25 * i, 0.25 * j)
+
+    def jitter(x):
+        r = rng.random()
+        if r < 0.2:
+            return math.nextafter(x, math.inf)
+        if r < 0.4:
+            return math.nextafter(x, -math.inf)
+        return x
+
+    corpus = []
+    for _ in range(trials):
+        n = rng.randrange(3, 11)
+        relays = [lattice(0.25, 1.0) for _ in range(rng.randrange(1, 4))]
+        lattice_pts = list(relays)
+        while len(lattice_pts) < n - 1:
+            if rng.random() < 0.05:
+                x, y = lattice(0.0, 2.0)
+            else:
+                bx, by = rng.choice(relays)
+                dx, dy = lattice(0.5, 1.0)
+                x, y = bx + dx, by + dy
+            if max(abs(x), abs(y)) <= 2.0:
+                lattice_pts.append((x, y))
+        coords = [(0.0, 0.0)]
+        for x, y in lattice_pts:
+            p = (jitter(x), y)
+            if p not in coords:  # duplicate points are skipped
+                coords.append(p)
+        corpus.append(coords)
+    return corpus
+
+
+def test_fragile_lattice_matches_oracle():
+    mismatches = []
+    seen = {"infeasible": 0, "size 2": 0, "cover dp": 0, "fragile": 0}
+    for coords in _lattice_ulp_planar_corpus():
+        inst = planar(coords)
+        seen["fragile"] += inst.fragile
+        try:
+            want = brute_min_broadcast(inst, hops=2).size
+        except InfeasibleError:
+            want = None
+        try:
+            got = solve_two_hop(inst)
+        except InfeasibleError:
+            got = None
+        if want is None:
+            seen["infeasible"] += 1
+        elif want == 2:
+            seen["size 2"] += 1
+        elif want > 2:
+            seen["cover dp"] += 1
+        if got is None:
+            if want is not None:
+                mismatches.append(coords)
+        elif got.size != want or not validate_broadcast(inst, got, hops=2).valid:
+            mismatches.append(coords)
+    assert mismatches == []
+    assert all(seen.values()), seen
