@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Sequence
 
 from . import narrow as narrow_mod
@@ -308,12 +309,22 @@ def _second_point_split(table: OneSidedTable, p: int) -> tuple[int, int] | None:
 
 @dataclass
 class TwoSidedTable:
-    """Joint source table over (left interval, right interval) pairs."""
+    """Joint source table over (left interval, right interval) pairs.
+
+    Intervals are numbered once per side, empty ones (j = i - 1) included:
+    ``left_ids[(i, j)]`` and ``right_ids[(k, l)]`` index the dense rows
+    ``values[left_id][right_id]`` and ``choice[left_id][right_id]``.
+    """
 
     left: OneSidedTable
     right: OneSidedTable
-    values: dict[tuple[int, int, int, int], float]
-    choice: dict[tuple[int, int, int, int], tuple]
+    left_ids: dict[tuple[int, int], int]
+    right_ids: dict[tuple[int, int], int]
+    values: list[list[float]]
+    choice: list[list[tuple]]
+
+    def value(self, i: int, j: int, k: int, l: int) -> float:
+        return self.values[self.left_ids[(i, j)]][self.right_ids[(k, l)]]
 
 
 def _on_side(instance: StripInstance, i: int, side: str) -> bool:
@@ -357,70 +368,107 @@ def _root_cost(table: OneSidedTable, p: int, i: int, j: int) -> float:
     return v + 1.0 if v < INF else INF
 
 
+def _interval_ids(m: int) -> dict[tuple[int, int], int]:
+    """Number the intervals [i, j] of 1..m, empty ones (j = i - 1) included."""
+    ids: dict[tuple[int, int], int] = {}
+    for i in range(1, m + 2):
+        for j in range(i - 1, m + 1):
+            ids[(i, j)] = len(ids)
+    return ids
+
+
+def _split_ids(ids: dict[tuple[int, int], int]) -> list[list[tuple[int, int]]]:
+    """Per interval, the pairs (id [i, t], id [t + 1, j]) for t = i - 1 .. j."""
+    return [
+        [(ids[(i, t)], ids[(t + 1, j)]) for t in range(i - 1, j + 1)]
+        for i, j in ids
+    ]
+
+
 def _fill_joint(
     instance: StripInstance,
     dag: LevelDag,
     left: OneSidedTable,
     right: OneSidedTable,
 ) -> TwoSidedTable:
+    """Fill the joint table as dense rows, by increasing total interval length.
+
+    A cell reads only cells of smaller total length, except the two trivial
+    branch splits, which read the cell itself; it is still INF while being
+    filled, so they never win.  Ties go to the first (t, u) split, then to
+    the first level-1 child, as picks replace only on a strict ``<``.
+    """
     src = instance.source
     part = dag.part
     level1 = sorted(part.levels[1]) if len(part.levels) > 1 else []
-    ml, mr = left.m, right.m
-    values: dict[tuple[int, int, int, int], float] = {}
-    choice: dict[tuple[int, int, int, int], tuple] = {}
+    lids, rids = _interval_ids(left.m), _interval_ids(right.m)
+    lint, rint = list(lids), list(rids)
+    lsplits, rsplits = _split_ids(lids), _split_ids(rids)
+    # root-inclusive one-sided costs of each interval, over the level-1 points
+    lcost = [[_root_cost(left, p, i, j) for p in level1] for i, j in lint]
+    rcost = [[_root_cost(right, p, k, l) for p in level1] for k, l in rint]
+    values = [[INF] * len(rint) for _ in lint]
+    choice = [[("dead",)] * len(rint) for _ in lint]
+    lby_len: list[list[int]] = [[] for _ in range(left.m + 1)]
+    rby_len: list[list[int]] = [[] for _ in range(right.m + 1)]
+    for a, (i, j) in enumerate(lint):
+        lby_len[j - i + 1].append(a)
+    for b, (k, l) in enumerate(rint):
+        rby_len[l - k + 1].append(b)
 
-    cells = []
-    for i in range(1, ml + 2):
-        for j in range(i - 1, ml + 1):
-            for k in range(1, mr + 2):
-                for l in range(k - 1, mr + 1):
-                    cells.append((i, j, k, l))
-    cells.sort(key=lambda c: (c[1] - c[0]) + (c[3] - c[2]))
+    for a in lby_len[0]:
+        for b in rby_len[0]:
+            values[a][b] = 0.0
+            choice[a][b] = ("empty",)
+    if left.m:
+        for a in lby_len[1]:
+            q = left.terminals[lint[a][0] - 1]
+            for b in rby_len[0]:
+                values[a][b] = part.level[q] if src in left.reach[q] else INF
+                choice[a][b] = ("path-left", q)
+    if right.m:
+        for b in rby_len[1]:
+            q = right.terminals[rint[b][0] - 1]
+            for a in lby_len[0]:
+                values[a][b] = part.level[q] if src in right.reach[q] else INF
+                choice[a][b] = ("path-right", q)
 
-    for i, j, k, l in cells:
-        key = (i, j, k, l)
-        ln_l = j - i + 1
-        ln_r = l - k + 1
-        if ln_l == 0 and ln_r == 0:
-            values[key] = 0.0
-            choice[key] = ("empty",)
-            continue
-        if ln_l == 1 and ln_r == 0:
-            q = left.terminals[i - 1]
-            values[key] = part.level[q] if src in left.reach[q] else INF
-            choice[key] = ("path-left", q)
-            continue
-        if ln_l == 0 and ln_r == 1:
-            q = right.terminals[k - 1]
-            values[key] = part.level[q] if src in right.reach[q] else INF
-            choice[key] = ("path-right", q)
-            continue
-        best = INF
-        pick = None
-        # branching at the source: split both intervals
-        for t in range(i - 1, j + 1):
-            for u in range(k - 1, l + 1):
-                if (t, u) == (i - 1, k - 1) or (t, u) == (j, l):
-                    continue
-                cand = values[(i, t, k, u)] + values[(t + 1, j, u + 1, l)] - 1.0
-                if cand < best:
-                    best = cand
-                    pick = ("branch", t, u)
-        # a single level-1 child carrying both sides
-        for p in level1:
-            al = _root_cost(left, p, i, j)
-            ar = _root_cost(right, p, k, l)
-            if al == INF or ar == INF:
-                continue
-            joint = al + ar - 1.0 if (ln_l and ln_r) else al + ar
-            cand = 1.0 + joint
-            if cand < best:
-                best = cand
-                pick = ("child", p)
-        values[key] = best
-        choice[key] = pick if pick is not None else ("dead",)
-    return TwoSidedTable(left, right, values, choice)
+    for total in range(2, left.m + right.m + 1):
+        for ln_l in range(max(0, total - right.m), min(left.m, total) + 1):
+            ln_r = total - ln_l
+            # child term: the source plus both root-inclusive costs, less
+            # the child itself when both nonempty sides count it
+            child_extra = 0.0 if (ln_l and ln_r) else 1.0
+            for a in lby_len[ln_l]:
+                i = lint[a][0]
+                vrow = values[a]
+                crow = choice[a]
+                splits = lsplits[a]
+                al = lcost[a]
+                for b in rby_len[ln_r]:
+                    k = rint[b][0]
+                    rs = rsplits[b]
+                    best = INF
+                    pick = None
+                    # branching at the source: split both intervals
+                    for t, (a1, a2) in enumerate(splits):
+                        r1 = values[a1]
+                        r2 = values[a2]
+                        row = [r1[b1] + r2[b2] for b1, b2 in rs]
+                        low = min(row)
+                        if low - 1.0 < best:
+                            best = low - 1.0
+                            pick = ("branch", i - 1 + t, k - 1 + row.index(low))
+                    if level1:
+                        joint = list(map(add, al, rcost[b]))
+                        low = min(joint)
+                        if low + child_extra < best:
+                            best = low + child_extra
+                            pick = ("child", level1[joint.index(low)])
+                    if pick is not None:
+                        vrow[b] = best
+                        crow[b] = pick
+    return TwoSidedTable(left, right, lids, rids, values, choice)
 
 
 def _walk_joint(
@@ -433,7 +481,7 @@ def _walk_joint(
     out: set[int],
 ) -> None:
     src = instance.source
-    pick = table.choice[(i, j, k, l)]
+    pick = table.choice[table.left_ids[(i, j)]][table.right_ids[(k, l)]]
     kind = pick[0]
     if kind == "empty":
         return
@@ -462,18 +510,25 @@ def _walk_joint(
     raise AssertionError("walking a dead table cell")
 
 
-def two_sided_dp(
-    instance: StripInstance,
-    hops: int | None = None,
-    max_points: int = 400,
-) -> BroadcastSet:
-    """Minimum broadcast from a two-sided arborescence for the last level."""
-    if not instance.is_narrow():
-        raise ContractError("two-sided DP requires a narrow strip")
+_MAX_TWO_SIDED_POINTS = 400
+
+
+def _refuse_large_two_sided(instance: StripInstance, max_points: int) -> None:
     if instance.n > max_points:
         raise ContractError(
             f"two-sided DP refuses n={instance.n} > {max_points} (table memory)"
         )
+
+
+def two_sided_dp(
+    instance: StripInstance,
+    hops: int | None = None,
+    max_points: int = _MAX_TWO_SIDED_POINTS,
+) -> BroadcastSet:
+    """Minimum broadcast from a two-sided arborescence for the last level."""
+    if not instance.is_narrow():
+        raise ContractError("two-sided DP requires a narrow strip")
+    _refuse_large_two_sided(instance, max_points)
     graph = build_graph(instance)
     part = compute_levels(instance, graph)
     if part.unreachable:
@@ -488,8 +543,18 @@ def two_sided_dp(
         raise ContractError("two-sided DP expects t = h; dispatch handles t < h")
     dag = build_level_dag(instance, h, graph, part)
     left, right = _side_tables(instance, dag)
+    return _two_sided(instance, dag, left, right)
+
+
+def _two_sided(
+    instance: StripInstance,
+    dag: LevelDag,
+    left: OneSidedTable,
+    right: OneSidedTable,
+) -> BroadcastSet:
+    """The two-sided arborescence over already filled side tables."""
     table = _fill_joint(instance, dag, left, right)
-    total = table.values[(1, left.m, 1, right.m)]
+    total = table.value(1, left.m, 1, right.m)
     if total == INF:
         raise InfeasibleError("no two-sided arborescence spans the last level")
     out: set[int] = {instance.source}
@@ -537,10 +602,15 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
         consider(narrow_mod.solve_narrow(instance))
     except InfeasibleError:
         pass
-    for arb_side in ("+", "-"):
-        consider(_mixed_candidate(instance, graph, part, h, arb_side))
+    # one DAG and one pair of side tables serve the mixed and two-sided
+    # candidates alike
+    dag = build_level_dag(instance, h, graph, part)
+    left, right = _side_tables(instance, dag)
+    consider(_mixed_candidate(instance, right, "+"))
+    consider(_mixed_candidate(instance, left, "-"))
+    _refuse_large_two_sided(instance, _MAX_TWO_SIDED_POINTS)
     try:
-        consider(two_sided_dp(instance, h))
+        consider(_two_sided(instance, dag, left, right))
     except InfeasibleError:
         pass
 
@@ -554,32 +624,21 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
 
 
 def _mixed_candidate(
-    instance: StripInstance,
-    graph: UnitDiskGraph,
-    part: LevelPartition,
-    h: int,
-    arb_side: str,
+    instance: StripInstance, table: OneSidedTable, arb_side: str
 ) -> BroadcastSet | None:
     """Arborescence toward one side plus a shortest covering path to the other.
 
-    The path may enter the arborescence at a shared second vertex; sharing is
-    possible exactly when some optimal-child candidate of the arborescence is
-    also a possible second vertex of a shortest covering path.
+    ``table`` is the arborescence side's one-sided table.  The path may enter
+    the arborescence at a shared second vertex; sharing is possible exactly
+    when some optimal-child candidate of the arborescence is also a possible
+    second vertex of a shortest covering path.
     """
-    pts = instance.points
     src = instance.source
+    if not table.terminals or table.value(src, 1, table.m) == INF:
+        return None
+    pts = instance.points
     sp = instance.source_point
     sign = 1.0 if arb_side == "+" else -1.0
-    t = part.depth
-    terminals = [q for q in part.levels[t] if _on_side(instance, q, arb_side)]
-    if not terminals:
-        return None
-    dag = build_level_dag(instance, h, graph, part)
-    vertices = _side_vertices(instance, part, arb_side)
-    table = _fill_table(dag, vertices, _sorted_terminals(instance, terminals))
-    total = table.value(src, 1, table.m)
-    if total == INF:
-        return None
 
     covering = narrow_mod.compute_covering_sets(instance)
     path_side_used = any(pts[i].x * sign < 0.0 for i in covering.outside)

@@ -96,44 +96,47 @@ def angular_order(instance: StripInstance) -> AngularInstance:
 def compute_next(ai: AngularInstance, i: int, disk: int | None = None) -> int:
     """First position in the cyclic sequence from i not coverable by one disk.
 
-    With ``disk`` given, the scan is against that candidate; otherwise the
-    latest stop over all candidates covering position i is returned.
+    With ``disk`` given, this is the end of that candidate's covered prefix
+    from i (i itself when the disk misses i); otherwise the latest stop over
+    all candidates covering position i is returned.
     """
-    m = ai.m
     if disk is not None:
-        if not (ai.covers[disk] >> i & 1):
-            return i
-        for off in range(1, m):
-            pos = (i + off) % m
-            if not (ai.covers[disk] >> pos & 1):
-                return pos
+        return _next_after(ai, i, _rotated_prefix(ai, i, disk)[1])
+    if not ai.disks_at[i]:
+        raise ContractError("position has no covering disk")
+    return _next_after(
+        ai, i, max(_rotated_prefix(ai, i, d)[1] for d in ai.disks_at[i])
+    )
+
+
+def _rotated_prefix(ai: AngularInstance, i: int, disk: int) -> tuple[int, int]:
+    """The disk's coverage mask rotated to start at position i, and the number
+    of positions it covers from i on (its trailing ones)."""
+    m = ai.m
+    cover = ai.covers[disk]
+    rot = ((cover >> i) | (cover << (m - i))) & ((1 << m) - 1)
+    return rot, (rot ^ (rot + 1)).bit_length() - 1
+
+
+def _next_after(ai: AngularInstance, i: int, prefix: int) -> int:
+    """The position just past a covered prefix of the given length from i."""
+    if prefix == ai.m:
         raise ContractError(
             "candidate disk covers every outside point; sizes <= 2 were missed"
         )
-    if not ai.disks_at[i]:
-        raise ContractError("position has no covering disk")
-    best = None
-    best_off = -1
-    for d in ai.disks_at[i]:
-        pos = compute_next(ai, i, d)
-        off = (pos - i) % m
-        if off > best_off:
-            best_off = off
-            best = pos
-    return best
+    return (i + prefix) % ai.m
 
 
-def _runs_after_prefix(ai: AngularInstance, i: int, disk: int) -> list[tuple[int, int]]:
-    """The disk's covered runs read cyclically from position i, minus the
-    prefix run that starts at i (empty when the disk misses i).
+def _runs_after_prefix(
+    ai: AngularInstance, i: int, disk: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """The disk's covered prefix length from position i (0 when the disk
+    misses i), and its covered runs read cyclically from i after that prefix.
 
     Each run is ``(start_off, end_off)``, inclusive offsets from i in
     ``[0, m)``.  One pass over the disk's coverage mask rotated to start at i.
     """
-    m = ai.m
-    cover = ai.covers[disk]
-    rot = ((cover >> i) | (cover << (m - i))) & ((1 << m) - 1)
-    prefix = (rot ^ (rot + 1)).bit_length() - 1  # trailing covered offsets
+    rot, prefix = _rotated_prefix(ai, i, disk)
     rest = rot >> prefix << prefix
     runs = []
     while rest:
@@ -141,7 +144,7 @@ def _runs_after_prefix(ai: AngularInstance, i: int, disk: int) -> list[tuple[int
         carry = rest + low  # clears the lowest run, sets the bit after it
         runs.append((low.bit_length() - 1, (carry & -carry).bit_length() - 2))
         rest &= carry
-    return runs
+    return prefix, runs
 
 
 def interval_set(ai: AngularInstance, i: int, j: int, disk: int) -> list[tuple[int, int]]:
@@ -151,7 +154,7 @@ def interval_set(ai: AngularInstance, i: int, j: int, disk: int) -> list[tuple[i
     length = (j - i) % m + 1
     return [
         ((i + start_off - 1) % m, (i + min(end_off, length - 1) + 1) % m)
-        for start_off, end_off in _runs_after_prefix(ai, i, disk)
+        for start_off, end_off in _runs_after_prefix(ai, i, disk)[1]
         if start_off < length
     ]
 
@@ -187,26 +190,28 @@ def cover_dp(ai: AngularInstance) -> CoverTable:
     their start's (disk, run) pairs.
     """
     m = ai.m
+    # per start, hoisted out of the length loop: every disk's reach (its
+    # covered prefix), the smallest disk reaching farthest, and the disks
+    # with runs after the prefix
     nextd = {}
-    for i in range(m):
-        for d in ai.disks_at[i]:
-            nextd[(i, d)] = compute_next(ai, i, d)
-    next1 = {i: compute_next(ai, i) for i in range(m)}
-
-    # per start, hoisted out of the length loop: every disk's reach, the
-    # smallest disk reaching farthest, and the disks with runs after the prefix
+    next1 = {}
     reach = []
     prefix_disk = []
     rows = []
     for i in range(m):
-        reach.append([((nextd[(i, d)] - i) % m, d) for d in ai.disks_at[i]])
-        off1 = (next1[i] - i) % m
-        prefix_disk.append(min(d for offd, d in reach[i] if offd == off1))
+        reach_i = []
         row = []
-        for offd, d in reach[i]:
-            runs = _runs_after_prefix(ai, i, d)
+        for d in ai.disks_at[i]:
+            offd, runs = _runs_after_prefix(ai, i, d)
+            nxd = _next_after(ai, i, offd)
+            nextd[(i, d)] = nxd
+            reach_i.append((offd, d))
             if runs:
-                row.append((offd, d, nextd[(i, d)], runs))
+                row.append((offd, d, nxd, runs))
+        off1 = max(offd for offd, _ in reach_i)
+        next1[i] = (i + off1) % m
+        prefix_disk.append(min(d for offd, d in reach_i if offd == off1))
+        reach.append(reach_i)
         rows.append(row)
 
     values = [[0] * m]

@@ -3,6 +3,9 @@ import math
 import pytest
 
 from stripcast.hopdp import (
+    _fill_joint,
+    _root_cost,
+    _side_tables,
     arborescence_is_nice,
     build_level_dag,
     build_pred_arborescence,
@@ -224,6 +227,93 @@ def test_two_sided_matches_oracle():
         else:
             assert got.size <= want.size
     assert matched >= 40
+
+
+def joint_cell(inst, part, left, right, table, i, j, k, l):
+    """One joint cell from the 4-tuple recurrence, reading smaller cells."""
+    src = inst.source
+    ln_l, ln_r = j - i + 1, l - k + 1
+    if ln_l == 0 and ln_r == 0:
+        return 0.0
+    if (ln_l, ln_r) == (1, 0):
+        q = left.terminals[i - 1]
+        return part.level[q] if src in left.reach[q] else INF
+    if (ln_l, ln_r) == (0, 1):
+        q = right.terminals[k - 1]
+        return part.level[q] if src in right.reach[q] else INF
+    best = INF
+    for t in range(i - 1, j + 1):
+        for u in range(k - 1, l + 1):
+            if (t, u) in ((i - 1, k - 1), (j, l)):
+                continue
+            best = min(
+                best, table.value(i, t, k, u) + table.value(t + 1, j, u + 1, l) - 1.0
+            )
+    for p in part.levels[1]:
+        al = _root_cost(left, p, i, j)
+        ar = _root_cost(right, p, k, l)
+        joint = al + ar - 1.0 if (ln_l and ln_r) else al + ar
+        best = min(best, 1.0 + joint)
+    return best
+
+
+def test_joint_table_recurrence_at_benchmark_scale():
+    # hop-dense-shaped draws (n = 50 on a strip of length 3, depth 2) with at
+    # least 5 last-level points on each side, so the joint table is large
+    cells = 0
+    for seed in (1, 2, 4, 20):
+        inst = gen_random_strip(50, 0.86, seed, min_sep=0.05, span=1.5)
+        part = compute_levels(inst)
+        assert not part.unreachable and part.depth == 2
+        dag = build_level_dag(inst, 2)
+        left, right = _side_tables(inst, dag)
+        assert left.m >= 5 and right.m >= 5
+        table = _fill_joint(inst, dag, left, right)
+        for i in range(1, left.m + 2):
+            for j in range(i - 1, left.m + 1):
+                for k in range(1, right.m + 2):
+                    for l in range(k - 1, right.m + 1):
+                        want = joint_cell(inst, part, left, right, table, i, j, k, l)
+                        assert table.value(i, j, k, l) == want, (seed, i, j, k, l)
+                        cells += 1
+        root = table.value(1, left.m, 1, right.m)
+        assert root < INF
+        assert two_sided_dp(inst, 2).size <= root
+    assert cells >= 10000
+
+
+def test_solve_hop_matches_oracle_at_depth_three_to_five():
+    # deeper strips, where the two-sided structure can return a set that is
+    # not a broadcast; solve_hop must drop it and still find the optimum
+    kept = invalid_two_sided = 0
+    for seed in range(40000, 40600):
+        n = 6 + seed % 11
+        w = (0.3, 0.6, 0.86)[seed % 3]
+        span = 1.0 + (seed // 3 % 5) * 0.5
+        inst = gen_random_strip(n, w, seed, min_sep=0.05, span=span)
+        part = compute_levels(inst)
+        if part.unreachable or part.depth < 3:
+            continue
+        h = part.depth
+        kept += 1
+        got = solve_hop(inst, h)
+        assert validate_broadcast(inst, got, hops=h).valid
+        assert got.size == brute_min_broadcast(inst, hops=h).size, seed
+        if not validate_broadcast(inst, two_sided_dp(inst, h), hops=h).valid:
+            invalid_two_sided += 1
+    assert kept >= 100
+    assert invalid_two_sided >= 30
+
+
+def test_two_sided_refusal_reaches_solve_hop():
+    # the joint table is refused above 400 points, also when solve_hop
+    # reaches it through the shared side tables
+    inst = gen_random_strip(401, 0.3, 5, min_sep=0.01, span=25)
+    part = compute_levels(inst)
+    assert not part.unreachable
+    for solve in (two_sided_dp, solve_hop):
+        with pytest.raises(ContractError, match="refuses n=401 > 400"):
+            solve(inst, part.depth)
 
 
 def test_solve_hop_dispatch_bounds():
