@@ -18,7 +18,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 NARROW_LIMIT = math.sqrt(3.0) / 2.0
 INF = math.inf
@@ -134,6 +134,22 @@ def make_instance(
             stacklevel=2,
         )
     return StripInstance(tuple(pts), source, width, hops, fragile)
+
+
+def min_over_sources(
+    instance: StripInstance, solve: Callable[[StripInstance], BroadcastSet]
+) -> BroadcastSet:
+    """Smallest of ``solve``'s broadcast sets over every choice of source.
+
+    Each point in turn becomes the source of a copy of the instance; the
+    first source whose set is smallest wins.
+    """
+    coords = [(p.x, p.y) for p in instance.points]
+    copies = (
+        make_instance(coords, source=src, width=instance.width, warn_fragile=False)
+        for src in range(instance.n)
+    )
+    return min(map(solve, copies), key=lambda result: result.size)
 
 
 def _is_fragile(pts: Sequence[Point]) -> bool:

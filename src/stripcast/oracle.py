@@ -19,7 +19,7 @@ from .model import (
     UnitDiskGraph,
     build_graph,
     make_broadcast_set,
-    make_instance,
+    min_over_sources,
 )
 
 
@@ -153,19 +153,9 @@ def brute_min_cds(
     if n > config.max_n:
         raise OracleLimitError(f"oracle refuses n={n} > max_n={config.max_n}")
     if mode == "per-source":
-        best: BroadcastSet | None = None
-        for src in range(n):
-            inst = make_instance(
-                [(p.x, p.y) for p in instance.points],
-                source=src,
-                width=instance.width,
-                warn_fragile=False,
-            )
-            cand = brute_min_broadcast(inst, config=config)
-            if best is None or cand.size < best.size:
-                best = cand
-        assert best is not None
-        return best
+        return min_over_sources(
+            instance, lambda inst: brute_min_broadcast(inst, config=config)
+        )
     if mode != "direct":
         raise ValueError(f"unknown oracle mode {mode!r}")
 

@@ -3,10 +3,14 @@
 The state at anchor k is the set of active points inside the two 2-by-w
 windows [-k-1, -k+1] and [k-1, k+1], together with the partition of those
 points into connectivity classes of the graph spanned by all actives chosen
-so far.  Advancing the anchor adds fresh actives from the newly exposed
-1-wide slabs, re-derives the partition by union-find (old classes restricted
-to surviving points, plus edges incident to fresh points), and checks that
-the newly interior slabs are dominated.
+so far.  Both are bitmasks over point indices: a state is the pair
+(active mask, class masks), the classes sorted by lowest member.  Advancing
+the anchor adds fresh actives from the newly exposed 1-wide slabs, restricts
+the old classes to the surviving points, merges in every fresh point with the
+classes its closed neighbourhood touches, and checks that the newly interior
+slabs are dominated.  The fresh subsets of an anchor, with their cover masks
+and their own connectivity classes, are listed once and shared by every
+state.
 
 A class with no representative in the leading slabs can never reconnect, so
 such states are dropped - except when the class is the only one, which covers
@@ -19,17 +23,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, Sequence
 
 from .model import (
     BroadcastSet,
     ContractError,
     InfeasibleError,
     StripInstance,
+    UnitDiskGraph,
     build_graph,
     compute_levels,
-    dist2,
     make_broadcast_set,
-    make_instance,
+    min_over_sources,
     validate_broadcast,
 )
 
@@ -54,10 +59,6 @@ class WindowState:
     classes: tuple[frozenset[int], ...]
 
 
-def _canonical(classes) -> tuple[frozenset[int], ...]:
-    return tuple(sorted((frozenset(c) for c in classes), key=lambda c: min(c)))
-
-
 def _in_window(x: float, k: int) -> bool:
     return (-k - 1.0 <= x <= -k + 1.0) or (k - 1.0 <= x <= k + 1.0)
 
@@ -66,59 +67,66 @@ def _in_leading(x: float, k: int) -> bool:
     return (k <= x <= k + 1.0) or (-k - 1.0 <= x <= -k)
 
 
+def _mask(indices: Iterable[int]) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _closed_masks(graph: UnitDiskGraph) -> list[int]:
+    """Each point's closed neighbourhood (itself and every point within 1)."""
+    return [_mask(nbrs) | (1 << i) for i, nbrs in enumerate(graph.adj)]
+
+
+def _cover(mask: int, closed: Sequence[int]) -> int:
+    cover = 0
+    while mask:
+        low = mask & -mask
+        cover |= closed[low.bit_length() - 1]
+        mask ^= low
+    return cover
+
+
+def _merge(
+    classes: Iterable[int], groups: Iterable[tuple[int, int]]
+) -> tuple[int, ...]:
+    """Classes after adding each ``(members, touch)`` group in turn.
+
+    A group absorbs every class its touch mask meets.  The result is sorted
+    by lowest member, the order of ``min`` on the index sets.
+    """
+    out = list(classes)
+    for members, touch in groups:
+        kept = []
+        for c in out:
+            if c & touch:
+                members |= c
+            else:
+                kept.append(c)
+        kept.append(members)
+        out = kept
+    out.sort(key=lambda c: c & -c)
+    return tuple(out)
+
+
+def _point_groups(indices: Iterable[int], closed: Sequence[int]):
+    return [(1 << i, closed[i]) for i in indices]
+
+
 def _components(instance: StripInstance, members: frozenset[int]):
-    pts = instance.points
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(members):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in members:
-                if v not in comp and dist2(pts[u], pts[v]) <= 1.0:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return _canonical(comps)
-
-
-def _induced_partition(
-    instance: StripInstance, prev: WindowState, cur_active: frozenset[int]
-) -> tuple[frozenset[int], ...]:
-    """Partition of cur_active: old classes on surviving points, closed under
-    edges incident to points that were not in the previous windows."""
-    pts = instance.points
-    parent = {i: i for i in cur_active}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    fresh = {i for i in cur_active if not _in_window(pts[i].x, prev.k)}
-    for cls in prev.classes:
-        kept = [i for i in cls if i in cur_active]
-        for a, b in zip(kept, kept[1:]):
-            union(a, b)
-    cur_list = sorted(cur_active)
-    for ai, a in enumerate(cur_list):
-        for b in cur_list[ai + 1 :]:
-            if (a in fresh or b in fresh) and dist2(pts[a], pts[b]) <= 1.0:
-                union(a, b)
-    groups: dict[int, set[int]] = {}
-    for i in cur_active:
-        groups.setdefault(find(i), set()).add(i)
-    return _canonical(groups.values())
+    closed = _closed_masks(build_graph(instance))
+    classes = _merge((), _point_groups(sorted(members), closed))
+    return tuple(frozenset(_bits(c)) for c in classes)
 
 
 def compatible(
@@ -132,12 +140,29 @@ def compatible(
         i for i in cur.active if _in_window(pts[i].x, prev.k)
     }:
         return False
-    return _induced_partition(instance, prev, cur.active) == cur.classes
+    closed = _closed_masks(build_graph(instance))
+    active = _mask(cur.active)
+    kept = [m for c in prev.classes if (m := _mask(c) & active)]
+    fresh = sorted(i for i in cur.active if not _in_window(pts[i].x, prev.k))
+    classes = _merge(kept, _point_groups(fresh, closed))
+    return classes == tuple(_mask(c) for c in cur.classes)
 
 
 def _subsets(items: list[int], max_extra: int):
     for r in range(0, min(len(items), max_extra) + 1):
         yield from combinations(items, r)
+
+
+def _fresh_subsets(pool: int, max_extra: int, closed: Sequence[int]):
+    """The pool's subsets in ``_subsets`` order, each as
+    ``(mask, cover mask, size, its classes as (members, cover) groups)``."""
+    out = []
+    for extra in _subsets(_bits(pool), max_extra):
+        own = _merge((), _point_groups(extra, closed))
+        groups = tuple((c, _cover(c, closed)) for c in own)
+        mask = _mask(extra)
+        out.append((mask, _cover(mask, closed), len(extra), groups))
+    return out
 
 
 def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
@@ -152,6 +177,7 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
             witness=part.unreachable,
         )
     pts = instance.points
+    n = instance.n
     src = instance.source
     density = mu(instance.width)
     k_final = math.ceil(max(abs(p.x) for p in pts))
@@ -167,62 +193,52 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
                     f"window {name} holds {load} candidate points (cap {cap})"
                 )
 
+    closed = _closed_masks(graph)
+    window = [
+        _mask(i for i in range(n) if _in_window(pts[i].x, k))
+        for k in range(k_final + 1)
+    ]
+
     # states: (active, classes) -> (cost, parent_key_at_prev_k)
-    seed_pool = [i for i in range(instance.n) if _in_window(pts[i].x, 0)]
-    must_cover = [i for i in range(instance.n) if pts[i].x == 0.0]
+    src_bit = 1 << src
+    must_cover = _mask(i for i in range(n) if pts[i].x == 0.0)
     states: dict[tuple, tuple[int, tuple | None]] = {}
-    others = [i for i in seed_pool if i != src]
-    for extra in _subsets(others, density - 1):
-        active = frozenset((src, *extra))
-        if any(
-            all(dist2(pts[q], pts[a]) > 1.0 for a in active) for q in must_cover
-        ):
+    for extra, cover, size, groups in _fresh_subsets(
+        window[0] & ~src_bit, density - 1, closed
+    ):
+        if must_cover & ~(cover | closed[src]):
             continue
-        key = (active, _components(instance, active))
-        cost = len(active)
-        if key not in states or cost < states[key][0]:
-            states[key] = (cost, None)
+        states[(src_bit | extra, _merge((src_bit,), groups))] = (1 + size, None)
 
     trail: list[dict[tuple, tuple[int, tuple | None]]] = [states]
     for k in range(1, k_final + 1):
-        fresh_pool = sorted(
+        subsets = _fresh_subsets(window[k] & ~window[k - 1], density, closed)
+        newly_required = _mask(
             i
-            for i in range(instance.n)
-            if _in_window(pts[i].x, k) and not _in_window(pts[i].x, k - 1)
-        )
-        newly_required = [
-            i
-            for i in range(instance.n)
+            for i in range(n)
             if (k - 1.0 < pts[i].x <= k) or (-k <= pts[i].x < -k + 1.0)
-        ]
+        )
+        leading = _mask(i for i in range(n) if _in_leading(pts[i].x, k))
         nxt: dict[tuple, tuple[int, tuple | None]] = {}
-        for (p_active, p_classes), (p_cost, _) in states.items():
-            carried = frozenset(i for i in p_active if _in_window(pts[i].x, k))
+        for p_key, (p_cost, _) in states.items():
+            p_active, p_classes = p_key
+            carried = p_active & window[k]
+            kept = [m for c in p_classes if (m := c & carried)]
+            uncovered = newly_required & ~_cover(p_active, closed)
+            room = density - carried.bit_count()
             # once the frontier empties, fresh actives could never reconnect
-            sealed = len(carried) == 0
-            pools = [()] if sealed else list(_subsets(fresh_pool, density))
-            prev_state = WindowState(k - 1, p_active, p_classes)
-            for extra in pools:
-                active = carried | frozenset(extra)
-                if len(active) > density:
+            for extra, cover, size, groups in subsets if carried else subsets[:1]:
+                if size > room:
+                    break
+                if uncovered & ~cover:
                     continue
-                helpers = active | p_active
-                if any(
-                    q not in helpers
-                    and all(dist2(pts[q], pts[a]) > 1.0 for a in helpers)
-                    for q in newly_required
-                ):
+                classes = _merge(kept, groups)
+                if len(classes) > 1 and any(not c & leading for c in classes):
                     continue
-                classes = _induced_partition(instance, prev_state, active)
-                if len(classes) > 1 and any(
-                    not any(_in_leading(pts[i].x, k) for i in cls)
-                    for cls in classes
-                ):
-                    continue
-                key = (active, classes)
-                cost = p_cost + len(extra)
+                key = (carried | extra, classes)
+                cost = p_cost + size
                 if key not in nxt or cost < nxt[key][0]:
-                    nxt[key] = (cost, (p_active, p_classes))
+                    nxt[key] = (cost, p_key)
         states = nxt
         trail.append(states)
         if not states:
@@ -237,22 +253,21 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
         finals,
         key=lambda key: (
             finals[key][0],
-            sorted(key[0]),
-            [sorted(c) for c in key[1]],
+            _bits(key[0]),
+            [_bits(c) for c in key[1]],
         ),
     )
 
     # walk the trail backwards collecting every point that was ever active
-    chosen: set[int] = set()
+    chosen = 0
     key = best_key
     for k in range(k_final, -1, -1):
-        active, classes = key
-        chosen.update(active)
+        chosen |= key[0]
         parent = trail[k][key][1]
         if parent is None:
             break
         key = parent
-    result = make_broadcast_set(instance, chosen)
+    result = make_broadcast_set(instance, _bits(chosen))
     report = validate_broadcast(instance, result, graph, hops=None)
     if not (report.is_dominating and report.is_connected):
         raise AssertionError(
@@ -263,16 +278,4 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
 
 def solve_wide_cds(instance: StripInstance, cap: int = 16) -> BroadcastSet:
     """Minimum connected dominating set: best forced-source broadcast."""
-    best: BroadcastSet | None = None
-    for src in range(instance.n):
-        inst = make_instance(
-            [(p.x, p.y) for p in instance.points],
-            source=src,
-            width=instance.width,
-            warn_fragile=False,
-        )
-        cand = solve_wide(inst, cap=cap)
-        if best is None or cand.size < best.size:
-            best = cand
-    assert best is not None
-    return best
+    return min_over_sources(instance, lambda inst: solve_wide(inst, cap=cap))

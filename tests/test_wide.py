@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -222,3 +223,75 @@ def test_cds_matches_oracle():
                 brute_min_cds(inst)
             continue
         assert got.size == brute_min_cds(inst).size
+
+
+def _lattice_ulp_strip_corpus(seed=0, trials=3000):
+    """Strip draws with x on the 0.25 lattice in [-2, 2], about 40% moved one
+    ulp either way, so many points sit within an ulp of a window edge or of
+    the unit radius; y in {0, w/2, w}; the source at the origin."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(trials):
+        w = rng.choice((math.sqrt(3) / 2, 1.0, 1.5))
+        ys = (0.0, w / 2, w)
+        coords = [(0.0, rng.choice(ys))]
+        for _ in range(rng.randrange(2, 10)):
+            x = 0.25 * rng.randrange(-8, 9)
+            r = rng.random()
+            if r < 0.2:
+                x = math.nextafter(x, math.inf)
+            elif r < 0.4:
+                x = math.nextafter(x, -math.inf)
+            p = (x, rng.choice(ys))
+            if p not in coords:  # duplicate points are skipped
+                coords.append(p)
+        corpus.append((coords, w))
+    return corpus
+
+
+def _ulp_off_edge(x):
+    # window and slab edges sit at the integers +-k +- 1
+    edge = float(round(x))
+    return x != edge and math.nextafter(x, edge) == edge
+
+
+def test_fragile_lattice_matches_oracle():
+    mismatches = []
+    seen = {"feasible": 0, "infeasible": 0, "ulp off an edge": 0}
+    for coords, w in _lattice_ulp_strip_corpus():
+        inst = make_instance(coords, width=w, warn_fragile=False)
+        seen["ulp off an edge"] += any(_ulp_off_edge(p.x) for p in inst.points)
+        try:
+            want = brute_min_broadcast(inst).size
+        except InfeasibleError:
+            want = None
+        try:
+            got = solve_wide(inst)
+        except InfeasibleError:
+            got = None
+        seen["infeasible" if want is None else "feasible"] += 1
+        if got is None:
+            if want is not None:
+                mismatches.append((coords, w))
+        elif got.size != want or not validate_broadcast(inst, got).valid:
+            mismatches.append((coords, w))
+    assert mismatches == []
+    assert all(seen.values()), seen
+
+
+def test_window_dp_matches_oracle_at_benchmark_scale():
+    # wide-window-shaped draws: n 11-13 on strips of width 1.0 and 1.5; the
+    # span-1.0 draws keep every |x| <= 1, so the DP holds 2^(n-1) states
+    draws = [
+        (11, 1.0, 1.0, 8),
+        (13, 1.5, 1.0, 8),
+        (11, 1.5, 11 / 8, 0),
+        (12, 1.0, 12 / 8, 8),
+        (12, 1.5, 12 / 8, 17),
+        (13, 1.0, 13 / 8, 1),
+    ]
+    for n, w, span, seed in draws:
+        inst = gen_random_strip(n, w, seed + 95_000, min_sep=0.05, span=span)
+        got = solve_wide(inst)
+        assert got.size == brute_min_broadcast(inst).size
+        assert validate_broadcast(inst, got).valid
