@@ -1,10 +1,13 @@
 """Hop-bounded broadcast in narrow strips.
 
 With t the number of hop levels: t > h is infeasible, t < h reduces to the
-unbounded solver, and t = h is solved as the minimum over four candidate
-structures: a 2-hop solution, a path-like solution, a mixed solution (path on
-one side, arborescence on the other, possibly sharing the second vertex), and
-a two-sided arborescence.
+unbounded solver, and t = h splits by depth.  At t = h <= 2 the problem is
+the 2-hop broadcast problem, which the planar 2-hop solver answers exactly.
+At t = h >= 3 the answer is the minimum over three candidate structures: a
+path-like solution, a mixed solution (path on one side, arborescence on the
+other, possibly sharing the second vertex), and a two-sided arborescence.
+No 2-hop set exists there: a level-3 point lies outside every disk centered
+in the source disk.
 
 Arborescences live in the level DAG (edges between consecutive levels,
 oriented upward).  The one-sided table M(p, [i, j]) is the minimum number of
@@ -585,6 +588,8 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
         )
     if t < h:
         return narrow_mod.solve_narrow(instance)
+    if t <= 2:
+        return twohop_mod.solve_two_hop(instance, graph)
 
     candidates: list[BroadcastSet] = []
 
@@ -595,19 +600,16 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
             candidates.append(result)
 
     try:
-        consider(twohop_mod.solve_two_hop(instance))
-    except InfeasibleError:
-        pass
-    try:
         consider(narrow_mod.solve_narrow(instance))
     except InfeasibleError:
         pass
-    # one DAG and one pair of side tables serve the mixed and two-sided
-    # candidates alike
+    # one DAG, one pair of side tables and one covering split serve the
+    # mixed and two-sided candidates alike
     dag = build_level_dag(instance, h, graph, part)
     left, right = _side_tables(instance, dag)
-    consider(_mixed_candidate(instance, right, "+"))
-    consider(_mixed_candidate(instance, left, "-"))
+    covering = narrow_mod.compute_covering_sets(instance)
+    consider(_mixed_candidate(instance, right, "+", covering))
+    consider(_mixed_candidate(instance, left, "-", covering))
     _refuse_large_two_sided(instance, _MAX_TWO_SIDED_POINTS)
     try:
         consider(_two_sided(instance, dag, left, right))
@@ -624,14 +626,18 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
 
 
 def _mixed_candidate(
-    instance: StripInstance, table: OneSidedTable, arb_side: str
+    instance: StripInstance,
+    table: OneSidedTable,
+    arb_side: str,
+    covering: narrow_mod.CoveringSets,
 ) -> BroadcastSet | None:
     """Arborescence toward one side plus a shortest covering path to the other.
 
-    ``table`` is the arborescence side's one-sided table.  The path may enter
-    the arborescence at a shared second vertex; sharing is possible exactly
-    when some optimal-child candidate of the arborescence is also a possible
-    second vertex of a shortest covering path.
+    ``table`` is the arborescence side's one-sided table and ``covering`` the
+    instance's covering sets.  The path may enter the arborescence at a
+    shared second vertex; sharing is possible exactly when some optimal-child
+    candidate of the arborescence is also a possible second vertex of a
+    shortest covering path.
     """
     src = instance.source
     if not table.terminals or table.value(src, 1, table.m) == INF:
@@ -639,8 +645,6 @@ def _mixed_candidate(
     pts = instance.points
     sp = instance.source_point
     sign = 1.0 if arb_side == "+" else -1.0
-
-    covering = narrow_mod.compute_covering_sets(instance)
     path_side_used = any(pts[i].x * sign < 0.0 for i in covering.outside)
     if not path_side_used:
         actives: set[int] = {src}

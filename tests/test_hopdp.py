@@ -4,6 +4,7 @@ import pytest
 
 from stripcast.hopdp import (
     _fill_joint,
+    _mixed_candidate,
     _root_cost,
     _side_tables,
     arborescence_is_nice,
@@ -22,8 +23,10 @@ from stripcast.model import (
     make_instance,
     validate_broadcast,
 )
-from stripcast.narrow import solve_narrow
+from stripcast.narrow import compute_covering_sets, solve_narrow
 from stripcast.oracle import brute_min_broadcast
+from stripcast.twohop import solve_two_hop
+from test_wide import _lattice_ulp_strip_corpus
 
 INF = math.inf
 
@@ -282,10 +285,8 @@ def test_joint_table_recurrence_at_benchmark_scale():
     assert cells >= 10000
 
 
-def test_solve_hop_matches_oracle_at_depth_three_to_five():
-    # deeper strips, where the two-sided structure can return a set that is
-    # not a broadcast; solve_hop must drop it and still find the optimum
-    kept = invalid_two_sided = 0
+def _deep_random_strips():
+    """Connected random narrow strips of hop depth >= 3, with their depth."""
     for seed in range(40000, 40600):
         n = 6 + seed % 11
         w = (0.3, 0.6, 0.86)[seed % 3]
@@ -294,7 +295,14 @@ def test_solve_hop_matches_oracle_at_depth_three_to_five():
         part = compute_levels(inst)
         if part.unreachable or part.depth < 3:
             continue
-        h = part.depth
+        yield seed, inst, part.depth
+
+
+def test_solve_hop_matches_oracle_at_depth_three_to_five():
+    # deeper strips, where the two-sided structure can return a set that is
+    # not a broadcast; solve_hop must drop it and still find the optimum
+    kept = invalid_two_sided = 0
+    for seed, inst, h in _deep_random_strips():
         kept += 1
         got = solve_hop(inst, h)
         assert validate_broadcast(inst, got, hops=h).valid
@@ -303,6 +311,72 @@ def test_solve_hop_matches_oracle_at_depth_three_to_five():
             invalid_two_sided += 1
     assert kept >= 100
     assert invalid_two_sided >= 30
+
+
+def test_no_two_hop_set_at_depth_three_to_five():
+    # a level-3 point lies outside every disk centered in the source disk,
+    # so solve_hop runs no 2-hop candidate at t = h >= 3
+    kept = 0
+    for seed, inst, h in _deep_random_strips():
+        kept += 1
+        with pytest.raises(InfeasibleError):
+            solve_two_hop(inst)
+    assert kept >= 100
+
+
+def test_solve_hop_at_depth_two_is_the_two_hop_set():
+    # hop-dense-shaped draws: at t = h = 2 solve_hop returns the exact 2-hop
+    # set, and no other candidate structure finds a smaller valid set
+    for n, w, seed in ((40, 0.86, 3), (50, 0.6, 5), (60, 0.86, 4), (45, 0.3, 5)):
+        inst = gen_random_strip(n, w, seed, min_sep=0.05, span=1.5)
+        part = compute_levels(inst)
+        assert not part.unreachable and part.depth == 2
+        got = solve_hop(inst, 2)
+        assert got.active == solve_two_hop(inst).active
+        dag = build_level_dag(inst, 2)
+        left, right = _side_tables(inst, dag)
+        covering = compute_covering_sets(inst)
+        others = [
+            two_sided_dp(inst, 2),
+            _mixed_candidate(inst, right, "+", covering),
+            _mixed_candidate(inst, left, "-", covering),
+        ]
+        for other in others:
+            if other is not None and validate_broadcast(inst, other, hops=2).valid:
+                assert other.size >= got.size, (seed, other.active)
+
+
+def test_solve_hop_solves_large_depth_two_strip():
+    # the two-sided table's 400-point limit does not apply at t = h <= 2
+    inst = gen_random_strip(401, 0.6, 0, min_sep=0.01, span=1.1)
+    assert compute_levels(inst).depth == 2
+    got = solve_hop(inst, 2)
+    assert got.size == 3
+    assert validate_broadcast(inst, got, hops=2).valid
+
+
+def test_solve_hop_fragile_lattice_depth_at_most_two():
+    mismatches = []
+    seen = {"depth 1": 0, "depth 2": 0, "ulp moved": 0}
+    narrow_widths = (0.5, 0.75, math.sqrt(3) / 2)
+    for coords, w in _lattice_ulp_strip_corpus(widths=narrow_widths):
+        inst = make_instance(coords, width=w, warn_fragile=False)
+        part = compute_levels(inst)
+        if part.unreachable or part.depth not in (1, 2):
+            continue
+        h = part.depth
+        seen[f"depth {h}"] += 1
+        seen["ulp moved"] += any(x != 0.25 * round(4 * x) for x, _ in coords)
+        want = brute_min_broadcast(inst, hops=h).size
+        try:
+            got = solve_hop(inst, h)
+        except (InfeasibleError, ContractError):
+            mismatches.append((coords, w))
+            continue
+        if got.size != want or not validate_broadcast(inst, got, hops=h).valid:
+            mismatches.append((coords, w))
+    assert mismatches == []
+    assert seen["depth 2"] >= 200 and all(seen.values()), seen
 
 
 def test_two_sided_refusal_reaches_solve_hop():

@@ -225,14 +225,16 @@ def test_cds_matches_oracle():
         assert got.size == brute_min_cds(inst).size
 
 
-def _lattice_ulp_strip_corpus(seed=0, trials=3000):
+def _lattice_ulp_strip_corpus(
+    seed=0, trials=3000, widths=(math.sqrt(3) / 2, 1.0, 1.5)
+):
     """Strip draws with x on the 0.25 lattice in [-2, 2], about 40% moved one
     ulp either way, so many points sit within an ulp of a window edge or of
     the unit radius; y in {0, w/2, w}; the source at the origin."""
     rng = random.Random(seed)
     corpus = []
     for _ in range(trials):
-        w = rng.choice((math.sqrt(3) / 2, 1.0, 1.5))
+        w = rng.choice(widths)
         ys = (0.0, w / 2, w)
         coords = [(0.0, rng.choice(ys))]
         for _ in range(rng.randrange(2, 10)):
