@@ -328,7 +328,7 @@ def criterion_geometric_invariants():
         w = WIDTHS_NARROW[s % 3]
         inst = io_cli.gen_random_strip(n, w, 100000 + s, min_sep=0.02)
         graph = build_graph(inst)
-        part = compute_levels(inst, graph)  # raises on an overlap violation
+        part = compute_levels(inst)  # raises on an overlap violation
         pts = inst.points
         for i in range(1, len(part.levels)):
             if part.plus[i] and part.plus[i - 1]:

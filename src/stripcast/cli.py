@@ -7,6 +7,7 @@ instance - scripts need to tell infeasibility apart from failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import acceptance, hopdp, io_cli, narrow, oracle, twohop, wide
@@ -123,7 +124,7 @@ def _cmd_gen(args) -> int:
     else:
         raise InstanceError(f"unknown generator kind {args.kind!r}")
     if args.hops:
-        inst = StripInstance(inst.points, inst.source, inst.width, args.hops, inst.fragile)
+        inst = dataclasses.replace(inst, hops=args.hops)
     io_cli.save_instance(inst, args.output, meta=meta)
     print(f"wrote {inst.n} points to {args.output}")
     return EXIT_OK

@@ -1,8 +1,8 @@
-"""Disk-membership masks and the prefix/suffix coverage scan.
+"""Disk-intersection membership and the prefix/suffix coverage scan.
 
-``union_mask`` / ``intersection_mask`` answer "which query points lie inside
-the union / intersection of a family of unit disks" by the exact pairwise
-test ``dist2 <= 1.0``.
+``intersection_mask`` answers "which query points lie inside the
+intersection of a family of unit disks" by the exact pairwise test
+``dist2 <= 1.0``.
 
 ``prefix_suffix_cover`` gives the coverage numbers used by the
 bidirectional-solution detector: for a probe p, how long a prefix (suffix) of
@@ -16,13 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .model import InstanceError, Point, dist2
-
-
-def union_mask(centers: Sequence[Point], queries: Sequence[Point]) -> list[bool]:
-    """For each query, whether it lies within distance 1 of some center."""
-    if not centers:
-        raise InstanceError("union membership needs a nonempty center set")
-    return [any(dist2(c, q) <= 1.0 for c in centers) for q in queries]
 
 
 def intersection_mask(

@@ -80,14 +80,12 @@ class LevelDag:
 def build_level_dag(
     instance: StripInstance,
     hops: int | None = None,
-    graph: UnitDiskGraph | None = None,
     part: LevelPartition | None = None,
 ) -> LevelDag:
     """Orient inter-level edges upward; same-level edges are dropped."""
-    if graph is None:
-        graph = build_graph(instance)
+    graph = build_graph(instance)
     if part is None:
-        part = compute_levels(instance, graph)
+        part = compute_levels(instance)
     if part.unreachable:
         raise InfeasibleError(
             "graph is disconnected; no broadcast set exists",
@@ -236,8 +234,7 @@ def one_sided_dp(
         raise ContractError("one-sided DP requires a narrow strip")
     if any(p.x < 0.0 for p in instance.points):
         raise ContractError("one-sided input must have the source leftmost")
-    graph = build_graph(instance)
-    part = compute_levels(instance, graph)
+    part = compute_levels(instance)
     if part.unreachable:
         raise InfeasibleError("graph is disconnected", witness=part.unreachable)
     t = part.depth
@@ -248,7 +245,7 @@ def one_sided_dp(
         raise InfeasibleError(f"points at hop level {t} cannot be reached in {h} hops")
     if t < h:
         raise ContractError("one-sided DP expects t = h; dispatch handles t < h")
-    dag = build_level_dag(instance, h, graph, part)
+    dag = build_level_dag(instance, h, part)
     terminals = _sorted_terminals(instance, part.levels[t])
     if not terminals:
         raise ContractError("last level empty although t = h")
@@ -260,11 +257,11 @@ def one_sided_dp(
         actives: set[int] = {instance.source}
         _walk_table(table, instance.source, 1, table.m, actives)
         arb = make_broadcast_set(instance, actives)
-        if validate_broadcast(instance, arb, graph, hops=h).valid:
+        if validate_broadcast(instance, arb, hops=h).valid:
             candidates.append(arb)
     try:
         path = narrow_mod.solve_narrow(instance)
-        if validate_broadcast(instance, path, graph, hops=h).valid:
+        if validate_broadcast(instance, path, hops=h).valid:
             candidates.append(path)
     except InfeasibleError:
         pass
@@ -532,8 +529,7 @@ def two_sided_dp(
     if not instance.is_narrow():
         raise ContractError("two-sided DP requires a narrow strip")
     _refuse_large_two_sided(instance, max_points)
-    graph = build_graph(instance)
-    part = compute_levels(instance, graph)
+    part = compute_levels(instance)
     if part.unreachable:
         raise InfeasibleError("graph is disconnected", witness=part.unreachable)
     t = part.depth
@@ -544,7 +540,7 @@ def two_sided_dp(
         raise InfeasibleError(f"points at hop level {t} cannot be reached in {h} hops")
     if t < h:
         raise ContractError("two-sided DP expects t = h; dispatch handles t < h")
-    dag = build_level_dag(instance, h, graph, part)
+    dag = build_level_dag(instance, h, part)
     left, right = _side_tables(instance, dag)
     return _two_sided(instance, dag, left, right)
 
@@ -574,8 +570,7 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
         return narrow_mod.solve_narrow(instance)
     if h < 1:
         raise ContractError("hop bound must be >= 1")
-    graph = build_graph(instance)
-    part = compute_levels(instance, graph)
+    part = compute_levels(instance)
     if part.unreachable:
         raise InfeasibleError(
             "graph is disconnected; no broadcast set exists",
@@ -589,13 +584,13 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
     if t < h:
         return narrow_mod.solve_narrow(instance)
     if t <= 2:
-        return twohop_mod.solve_two_hop(instance, graph)
+        return twohop_mod.solve_two_hop(instance)
 
     candidates: list[BroadcastSet] = []
 
     def consider(result: BroadcastSet | None) -> None:
         if result is not None and validate_broadcast(
-            instance, result, graph, hops=h
+            instance, result, hops=h
         ).valid:
             candidates.append(result)
 
@@ -605,7 +600,7 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
         pass
     # one DAG, one pair of side tables and one covering split serve the
     # mixed and two-sided candidates alike
-    dag = build_level_dag(instance, h, graph, part)
+    dag = build_level_dag(instance, h, part)
     left, right = _side_tables(instance, dag)
     covering = narrow_mod.compute_covering_sets(instance)
     consider(_mixed_candidate(instance, right, "+", covering))
@@ -692,8 +687,7 @@ def build_pred_arborescence(
     Raises ContractError naming the point when no eligible active disk covers
     it (possible on non-optimal inputs).
     """
-    graph = build_graph(instance)
-    part = compute_levels(instance, graph)
+    part = compute_levels(instance)
     pts = instance.points
     act = set(active.active)
     t = part.depth
@@ -750,8 +744,7 @@ def arborescence_is_nice(
     instance: StripInstance, arcs: Sequence[tuple[int, int]]
 ) -> tuple[bool, tuple | None]:
     """Same-side arcs between the same two levels must preserve y-order."""
-    graph = build_graph(instance)
-    part = compute_levels(instance, graph)
+    part = compute_levels(instance)
     pts = instance.points
     by_group: dict[tuple[str, float], list[tuple[int, int]]] = {}
     for u, v in arcs:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 NARROW_LIMIT = math.sqrt(3.0) / 2.0
 INF = math.inf
@@ -67,15 +67,15 @@ class StripInstance:
     """A normalized problem instance.
 
     ``width`` is None for planar (unbounded) instances.  After normalization
-    the source sits at x = 0 and the radius is 1; ``fragile`` marks instances
-    with a pairwise distance within FRAGILE_TOL of the radius.
+    the source sits at x = 0 and the radius is 1.  ``graph`` and ``fragile``
+    come from one sweep over the points on first use and are kept with the
+    instance; equality and hashing see only the four fields.
     """
 
     points: tuple[Point, ...]
     source: int
     width: float | None = None
     hops: int | None = None
-    fragile: bool = field(default=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -87,6 +87,20 @@ class StripInstance:
 
     def is_narrow(self) -> bool:
         return self.width is not None and self.width <= NARROW_LIMIT
+
+    @cached_property
+    def _swept(self) -> tuple[UnitDiskGraph, bool]:
+        return _sweep(self.points)
+
+    @property
+    def graph(self) -> UnitDiskGraph:
+        """The closed unit-disk graph: (p, q) is an edge iff dist2(p, q) <= 1."""
+        return self._swept[0]
+
+    @property
+    def fragile(self) -> bool:
+        """Whether some pairwise distance lies within FRAGILE_TOL of the radius."""
+        return self._swept[1]
 
 
 def make_instance(
@@ -126,14 +140,14 @@ def make_instance(
             if not 0.0 <= p.y <= width:
                 raise InstanceError(f"point {i} lies outside the strip [0, {width}]")
 
-    fragile = _is_fragile(pts)
-    if fragile and warn_fragile:
+    inst = StripInstance(tuple(pts), source, width, hops)
+    if warn_fragile and inst.fragile:
         warnings.warn(
             "instance has a pairwise distance within 1e-9 of the radius; "
             "the adjacency of such pairs is decided by the last bits of the input",
             stacklevel=2,
         )
-    return StripInstance(tuple(pts), source, width, hops, fragile)
+    return inst
 
 
 def min_over_sources(
@@ -152,34 +166,6 @@ def min_over_sources(
     return min(map(solve, copies), key=lambda result: result.size)
 
 
-def _is_fragile(pts: Sequence[Point]) -> bool:
-    # the band ends at distance 1 + FRAGILE_TOL; the doubled reach leaves
-    # room for rounding in the x-gap
-    return any(
-        abs(math.sqrt(dist2(pts[i], pts[j])) - 1.0) < FRAGILE_TOL
-        for i, j in _x_window_pairs(pts, 1.0 + 2.0 * FRAGILE_TOL)
-    )
-
-
-def _x_window_pairs(pts: Sequence[Point], reach: float) -> Iterator[tuple[int, int]]:
-    """Index pairs whose x-gap is at most ``reach``, from one x-sorted sweep.
-
-    Only a conservative prefilter: dist2 squares this same float x-gap, so a
-    dropped pair is farther apart than ``reach`` up to rounding, and strictly
-    farther than 1 when reach >= 1.  Callers decide every yielded pair with
-    their own exact test.
-    """
-    order = sorted(range(len(pts)), key=lambda i: pts[i].x)
-    xs = [pts[i].x for i in order]
-    n = len(order)
-    for a in range(n):
-        xa = xs[a]
-        b = a + 1
-        while b < n and xs[b] - xa <= reach:
-            yield order[a], order[b]
-            b += 1
-
-
 @dataclass(frozen=True)
 class UnitDiskGraph:
     n: int
@@ -194,17 +180,49 @@ class UnitDiskGraph:
 
 def build_graph(instance: StripInstance) -> UnitDiskGraph:
     """Closed-disk adjacency: (p, q) is an edge iff dist(p, q) <= 1 exactly."""
-    pts = instance.points
-    n = len(pts)
+    return instance.graph
+
+
+def _sweep(pts: Sequence[Point]) -> tuple[UnitDiskGraph, bool]:
+    """Adjacency and the fragile flag from one x-sorted sweep over the pairs.
+
+    Only pairs whose x-gap is at most 1 + 2 FRAGILE_TOL are looked at: a pair
+    farther apart in x has dist2 > 1 (the square of a float gap above 1) and
+    a distance beyond the fragile band.  dist2 <= 1.0, in dist2's own
+    arithmetic, decides every edge; the square root is taken only for pairs
+    whose dist2 lies within 4 FRAGILE_TOL of 1, a band that holds every
+    distance within FRAGILE_TOL of 1.
+    """
     for i, p in enumerate(pts):
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise InstanceError(f"point {i} has non-finite coordinates")
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for i, j in _x_window_pairs(pts, 1.0):
-        if dist2(pts[i], pts[j]) <= 1.0:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-    return UnitDiskGraph(n, tuple(frozenset(s) for s in nbrs))
+    n = len(pts)
+    order = sorted(range(n), key=lambda i: pts[i].x)
+    xs = [pts[i].x for i in order]
+    ys = [pts[i].y for i in order]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    reach = 1.0 + 2.0 * FRAGILE_TOL
+    band = 4.0 * FRAGILE_TOL
+    fragile = False
+    for a in range(n):
+        i = order[a]
+        xa = xs[a]
+        ya = ys[a]
+        b = a + 1
+        while b < n:
+            dx = xs[b] - xa
+            if dx > reach:
+                break
+            dy = ys[b] - ya
+            d2 = dx * dx + dy * dy
+            if d2 <= 1.0:
+                j = order[b]
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+            if not fragile and abs(d2 - 1.0) < band:
+                fragile = abs(math.sqrt(d2) - 1.0) < FRAGILE_TOL
+            b += 1
+    return UnitDiskGraph(n, tuple(frozenset(s) for s in nbrs)), fragile
 
 
 @dataclass(frozen=True)
@@ -228,13 +246,10 @@ class LevelPartition:
 
 
 def compute_levels(
-    instance: StripInstance,
-    graph: UnitDiskGraph | None = None,
-    source: int | None = None,
+    instance: StripInstance, source: int | None = None
 ) -> LevelPartition:
     """BFS levels from the source; asserts the narrow-strip level-overlap bound."""
-    if graph is None:
-        graph = build_graph(instance)
+    graph = build_graph(instance)
     src = instance.source if source is None else source
     n = graph.n
     level: list[float] = [INF] * n
@@ -332,7 +347,6 @@ class ValidationReport:
 def validate_broadcast(
     instance: StripInstance,
     candidate: BroadcastSet | Iterable[int],
-    graph: UnitDiskGraph | None = None,
     hops: int | None = None,
 ) -> ValidationReport:
     """Check domination, connectivity, and the hop count of a candidate set.
@@ -341,8 +355,7 @@ def validate_broadcast(
     where only active points may relay (the endpoint itself may be inactive).
     The hop bound checked is the ``hops`` argument, else the instance's.
     """
-    if graph is None:
-        graph = build_graph(instance)
+    graph = build_graph(instance)
     if isinstance(candidate, BroadcastSet):
         active = set(candidate.active)
     else:

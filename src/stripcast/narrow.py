@@ -11,7 +11,7 @@ The solver checks the three possible structures of an optimum in order:
   path to the left-covering set, sharing at most their second vertex.
 
 Path-like solutions are found by levelling the points backwards from the
-covering sets, window-restricted so the whole loop stays near-linear.
+covering sets: a breadth-first search in the instance's unit-disk graph.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .model import (
     InfeasibleError,
     Point,
     StripInstance,
-    UnitDiskGraph,
     build_graph,
     compute_levels,
     core_region,
@@ -50,9 +49,8 @@ class BackwardLevels:
     """Backward hop levels from a covering set toward the source disk.
 
     ``levels[0]`` is the covering set itself; ``levels[i]`` holds the points
-    whose shortest path to it has i hops, restricted to the moving window.
-    ``reached`` is False when the loop died out before touching the source
-    disk (disconnected side).
+    whose shortest path to it has i hops.  ``reached`` is False when the
+    search died out before touching the source disk (disconnected side).
     """
 
     side: str
@@ -201,60 +199,36 @@ def backward_level_sets(
     instance: StripInstance,
     side: str,
     covering: CoveringSets | None = None,
-    debug: bool = False,
 ) -> BackwardLevels:
-    """Level the points backwards from one covering set toward the source disk."""
+    """Level the points backwards from one covering set toward the source disk.
+
+    A multi-source breadth-first search in the unit-disk graph that stops at
+    the first level touching the closed source disk.
+    """
     _require_narrow(instance)
     if covering is None:
         covering = compute_covering_sets(instance)
     if side not in ("+", "-"):
         raise ContractError("side must be '+' or '-'")
-    sign = 1.0 if side == "+" else -1.0
-    pts = instance.points
-    s = instance.source_point
     first = covering.q_plus if side == "+" else covering.q_minus
     if not first:
         raise ContractError("backward levelling needs a nonempty covering set")
+    adj = build_graph(instance).adj
+    s = instance.source
+    near_source = adj[s]
 
     levels = [tuple(first)]
-    first_set = set(first)
-    pool = [i for i in range(instance.n) if i not in first_set]
+    seen = set(first)
     while True:
         cur = levels[-1]
-        if any(dist2(pts[i], s) <= 1.0 for i in cur):
+        if s in cur or not near_source.isdisjoint(cur):
             return BackwardLevels(side, tuple(levels), True)
         if not cur:
             return BackwardLevels(side, tuple(levels[:-1]), False)
-        inner = min(pts[i].x * sign for i in cur)
-        window = [i for i in pool if pts[i].x * sign >= inner - 1.0]
-        mask = geom.union_mask([pts[i] for i in cur], [pts[i] for i in window])
-        nxt = tuple(i for i, ok in zip(window, mask) if ok)
-        if debug and nxt:
-            _check_window_span(instance, sign, window, levels, nxt)
-        taken = set(nxt)
-        pool = [i for i in pool if i not in taken]
-        levels.append(nxt)
-
-
-def _check_window_span(instance, sign, window, levels, nxt) -> None:
-    # the window is consumed within two further rounds; cheap sanity check
-    pts = instance.points
-    s = instance.source_point
-    reach = set(nxt)
-    rest = [i for i in window if i not in reach]
-    if not rest:
-        return
-    for _ in range(2):
-        frontier = [
-            i
-            for i in rest
-            if i not in reach
-            and any(dist2(pts[i], pts[j]) <= 1.0 for j in reach)
-        ]
-        reach.update(frontier)
-    stuck = [i for i in rest if i not in reach and dist2(pts[i], s) > 1.0]
-    if stuck:
-        raise ContractError(f"window points {stuck} not absorbed within two levels")
+        nxt = set().union(*(adj[i] for i in cur))
+        nxt -= seen
+        seen |= nxt
+        levels.append(tuple(sorted(nxt)))
 
 
 def walk_backward_path(
@@ -281,8 +255,7 @@ def solve_narrow(instance: StripInstance) -> BroadcastSet:
 def solve_narrow_detailed(instance: StripInstance) -> tuple[BroadcastSet, dict]:
     """Like solve_narrow, also reporting the structure class and path witnesses."""
     _require_narrow(instance)
-    graph = build_graph(instance)
-    part = compute_levels(instance, graph)
+    part = compute_levels(instance)
     if part.unreachable:
         raise InfeasibleError(
             "graph is disconnected; no broadcast set exists",
@@ -294,7 +267,7 @@ def solve_narrow_detailed(instance: StripInstance) -> tuple[BroadcastSet, dict]:
         return small, {"kind": "small"}
     bidi = find_bidirectional(instance)
     if bidi is not None:
-        _must_be_valid(instance, graph, bidi)
+        _must_be_valid(instance, bidi)
         return bidi, {"kind": "bidirectional"}
 
     covering = compute_covering_sets(instance)
@@ -339,14 +312,12 @@ def solve_narrow_detailed(instance: StripInstance) -> tuple[BroadcastSet, dict]:
     for path in paths.values():
         active.update(path)
     result = make_broadcast_set(instance, active)
-    _must_be_valid(instance, graph, result)
+    _must_be_valid(instance, result)
     return result, {"kind": "path", "paths": paths}
 
 
-def _must_be_valid(
-    instance: StripInstance, graph: UnitDiskGraph, result: BroadcastSet
-) -> None:
-    report = validate_broadcast(instance, result, graph, hops=None)
+def _must_be_valid(instance: StripInstance, result: BroadcastSet) -> None:
+    report = validate_broadcast(instance, result, hops=None)
     if not (report.is_dominating and report.is_connected):
         raise AssertionError(
             f"internal error: produced an invalid set {result.active}, "

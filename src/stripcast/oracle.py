@@ -97,15 +97,12 @@ def brute_min_broadcast(
     instance: StripInstance,
     hops: int | None = None,
     config: OracleConfig = DEFAULT_CONFIG,
-    graph: UnitDiskGraph | None = None,
 ) -> BroadcastSet:
     """Minimum broadcast set containing the source, optionally hop-bounded."""
     n = instance.n
     if n > config.max_n:
         raise OracleLimitError(f"oracle refuses n={n} > max_n={config.max_n}")
-    if graph is None:
-        graph = build_graph(instance)
-    nbr, closed = _masks(graph)
+    nbr, closed = _masks(build_graph(instance))
     full = (1 << n) - 1
     src = instance.source
     bound = hops if hops is not None else instance.hops
@@ -159,8 +156,7 @@ def brute_min_cds(
     if mode != "direct":
         raise ValueError(f"unknown oracle mode {mode!r}")
 
-    graph = build_graph(instance)
-    nbr, closed = _masks(graph)
+    nbr, closed = _masks(build_graph(instance))
     full = (1 << n) - 1
     deadline = None if config.time_budget is None else time.monotonic() + config.time_budget
     for k in range(1, n + 1):

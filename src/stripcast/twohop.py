@@ -23,7 +23,6 @@ from .model import (
     InfeasibleError,
     Point,
     StripInstance,
-    UnitDiskGraph,
     dist2,
     make_broadcast_set,
     validate_broadcast,
@@ -264,14 +263,8 @@ def _collect_disks(table: CoverTable, start: int, length: int, out: set[int]) ->
         _collect_disks(table, *pick[3], out)
 
 
-def solve_two_hop(
-    instance: StripInstance, graph: UnitDiskGraph | None = None
-) -> BroadcastSet:
-    """Minimum 2-hop broadcast set for a planar (or strip) instance.
-
-    ``graph`` is the instance's unit disk graph if the caller has built it;
-    only the final validity check reads it.
-    """
+def solve_two_hop(instance: StripInstance) -> BroadcastSet:
+    """Minimum 2-hop broadcast set for a planar (or strip) instance."""
     pts = instance.points
     s = instance.source
     sp = instance.source_point
@@ -303,7 +296,7 @@ def solve_two_hop(
     _collect_disks(table, (i + length) % m, m - length, disks)
     active = [s] + [ai.disks[d] for d in sorted(disks)]
     result = make_broadcast_set(instance, active)
-    report = validate_broadcast(instance, result, graph, hops=2)
+    report = validate_broadcast(instance, result, hops=2)
     if not report.valid:
         raise AssertionError(
             f"internal error: 2-hop solver produced an invalid set {result.active}"

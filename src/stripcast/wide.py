@@ -169,8 +169,7 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
     """Minimum broadcast set on a strip of any width."""
     if instance.width is None:
         raise ContractError("the window DP requires a finite strip width")
-    graph = build_graph(instance)
-    part = compute_levels(instance, graph)
+    part = compute_levels(instance)
     if part.unreachable:
         raise InfeasibleError(
             "graph is disconnected; no broadcast set exists",
@@ -193,7 +192,7 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
                     f"window {name} holds {load} candidate points (cap {cap})"
                 )
 
-    closed = _closed_masks(graph)
+    closed = _closed_masks(build_graph(instance))
     window = [
         _mask(i for i in range(n) if _in_window(pts[i].x, k))
         for k in range(k_final + 1)
@@ -268,7 +267,7 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
             break
         key = parent
     result = make_broadcast_set(instance, _bits(chosen))
-    report = validate_broadcast(instance, result, graph, hops=None)
+    report = validate_broadcast(instance, result, hops=None)
     if not (report.is_dominating and report.is_connected):
         raise AssertionError(
             f"internal error: wide DP produced an invalid set {result.active}"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stripcast.geom import ZValues, intersection_mask, prefix_suffix_cover, union_mask
+from stripcast.geom import ZValues, intersection_mask, prefix_suffix_cover
 from stripcast.model import InstanceError, Point, dist2
 
 
@@ -10,18 +10,7 @@ def P(*pairs):
     return [Point(x, y) for x, y in pairs]
 
 
-def test_union_trivial():
-    assert union_mask(P((0, 0)), P((0.5, 0), (2, 0))) == [True, False]
-
-
-def test_union_contains_centers():
-    centers = P((0, 0), (3, 1))
-    assert union_mask(centers, centers) == [True, True]
-
-
-def test_union_empty_centers_rejected():
-    with pytest.raises(InstanceError):
-        union_mask([], P((0, 0)))
+def test_intersection_empty_centers_rejected():
     with pytest.raises(InstanceError):
         intersection_mask([], P((0, 0)))
 
@@ -38,9 +27,7 @@ def test_membership_matches_pairwise_oracle():
         nq = 200 if trial == 0 else 50
         centers = P(*[(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(k)])
         queries = P(*[(rng.uniform(-4, 4), rng.uniform(-3, 3)) for _ in range(nq)])
-        union = [any(dist2(c, q) <= 1.0 for c in centers) for q in queries]
         inter = [all(dist2(c, q) <= 1.0 for c in centers) for q in queries]
-        assert union_mask(centers, queries) == union
         assert intersection_mask(centers, queries) == inter
 
 

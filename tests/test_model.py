@@ -1,15 +1,18 @@
+import io
 import math
 import random
+import warnings
+from contextlib import redirect_stdout
 
 import pytest
 
+from stripcast import cli, model
 from stripcast.model import (
     FRAGILE_TOL,
     ContractError,
     InstanceError,
     NARROW_LIMIT,
     Point,
-    _is_fragile,
     build_graph,
     compute_levels,
     core_region,
@@ -19,7 +22,7 @@ from stripcast.model import (
     make_instance,
     validate_broadcast,
 )
-from stripcast.io_cli import gen_bundle, gen_random_strip
+from stripcast.io_cli import gen_bundle, gen_random_strip, save_instance
 
 
 def chain(k, spacing=1.0, width=0.5):
@@ -134,10 +137,64 @@ def test_sweep_matches_all_pairs_definition():
                     seen["band beyond dx 1"] += gap > 1.0
         seen["fragile" if fragile else "robust"] += 1
         want = tuple(frozenset(s) for s in adj)
-        if build_graph(inst).adj != want or _is_fragile(pts) != fragile:
+        # warn_fragile=True sweeps inside make_instance, False on first use
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loud = make_instance(coords, width=w)
+        warned = any(issubclass(c.category, UserWarning) for c in caught)
+        for got in (inst, loud):
+            if build_graph(got).adj != want or got.fragile != fragile:
+                mismatches.append(coords)
+        if warned != fragile:
             mismatches.append(coords)
     assert mismatches == []
     assert all(seen.values()), seen
+
+
+def test_graph_does_not_change_identity():
+    coords = [(0.0, 0.2), (0.7, 0.4), (1.5, 0.1)]
+    built = make_instance(coords, width=0.5, warn_fragile=False)
+    fresh = make_instance(coords, width=0.5, warn_fragile=False)
+    assert build_graph(built).adj[1] == frozenset({0, 2})
+    assert built == fresh and hash(built) == hash(fresh)
+    assert {built: "x"}[fresh] == "x"
+
+
+def test_one_sweep_per_cli_solve(tmp_path, monkeypatch):
+    sweeps = []
+    real = model._sweep
+
+    def counting(pts):
+        sweeps.append(len(pts))
+        return real(pts)
+
+    monkeypatch.setattr(model, "_sweep", counting)
+    depth_two = make_instance(
+        [(0.0, 0.25), (0.9, 0.25), (1.7, 0.25), (-0.9, 0.3), (0.5, 0.1)],
+        width=0.5,
+        hops=2,
+        warn_fragile=False,
+    )
+    depth_three = make_instance(
+        [(0.0, 0.25), (0.9, 0.25), (1.8, 0.2), (2.7, 0.3), (-0.9, 0.25), (1.2, 0.4)],
+        width=0.5,
+        hops=3,
+        warn_fragile=False,
+    )
+    runs = [
+        (depth_two, ("narrow", "hop", "two-hop", "wide")),
+        (depth_three, ("narrow", "hop", "wide")),
+    ]
+    for k, (inst, algos) in enumerate(runs):
+        path = str(tmp_path / f"i{k}.json")
+        save_instance(inst, path)
+        for algo in algos:
+            sweeps.clear()
+            with redirect_stdout(io.StringIO()) as out:
+                code = cli.main(["solve", path, "--algo", algo])
+            assert code == 0, (algo, out.getvalue())
+            assert "valid: dominating=True connected=True" in out.getvalue()
+            assert sweeps == [inst.n], (algo, sweeps)
 
 
 def test_levels_chain():

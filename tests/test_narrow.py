@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from stripcast.narrow import (
     solve_narrow_detailed,
 )
 from stripcast.oracle import brute_min_broadcast
+from test_wide import _lattice_ulp_strip_corpus
 
 
 def chain(k, spacing=1.0, width=0.5):
@@ -193,14 +195,55 @@ def test_backward_levels_disconnected_side():
     assert not back.reached
 
 
-def test_backward_levels_window_property_debug():
-    for seed in range(30):
-        inst = gen_random_strip(10, 0.6, seed + 4000, min_sep=0.05)
+def _bfs_backward_levels(inst, first):
+    # multi-source BFS over all points in build_graph(inst), stopped at the
+    # first level with a point in the closed source disk
+    adj = build_graph(inst).adj
+    sp = inst.source_point
+    levels = [tuple(first)]
+    seen = set(first)
+    while True:
+        cur = levels[-1]
+        if any(dist2(inst.points[i], sp) <= 1.0 for i in cur):
+            return tuple(levels), True
+        if not cur:
+            return tuple(levels[:-1]), False
+        nxt = tuple(
+            j
+            for j in range(inst.n)
+            if j not in seen and any(j in adj[i] for i in cur)
+        )
+        seen.update(nxt)
+        levels.append(nxt)
+
+
+def test_backward_levels_are_graph_bfs():
+    narrow_widths = (0.5, 0.75, math.sqrt(3) / 2)
+    corpus = [
+        make_instance(coords, width=w, warn_fragile=False)
+        for coords, w in _lattice_ulp_strip_corpus(widths=narrow_widths)
+    ]
+    for seed in range(300):
+        w = (0.3, 0.6, 0.86)[seed % 3]
+        span = 1.0 + seed % 3
+        corpus.append(
+            gen_random_strip(6 + seed % 20, w, seed + 5200, min_sep=0.01, span=span)
+        )
+    mismatches = []
+    seen = {"reached": 0, "unreached": 0, "levels >= 3": 0}
+    for inst in corpus:
         cs = compute_covering_sets(inst)
-        if not cs.outside:
-            continue
-        if any(inst.points[i].x > 0 for i in cs.outside):
-            backward_level_sets(inst, "+", cs, debug=True)
+        for side, sign, first in (("+", 1.0, cs.q_plus), ("-", -1.0, cs.q_minus)):
+            if not any(inst.points[i].x * sign > 0.0 for i in cs.outside):
+                continue
+            want = _bfs_backward_levels(inst, first)
+            back = backward_level_sets(inst, side, cs)
+            if (back.levels, back.reached) != want:
+                mismatches.append((inst.points, side))
+            seen["reached" if want[1] else "unreached"] += 1
+            seen["levels >= 3"] += len(want[0]) >= 3
+    assert mismatches == []
+    assert all(seen.values()), seen
 
 
 def test_solve_narrow_chain_sizes():
