@@ -15,12 +15,17 @@ active points, excluding the root p, of an order-respecting arborescence
 rooted at p whose leaf set is the y-interval [i, j] of the last level.  The
 two-sided table at the source adds the root back in, so empty-interval cells
 are 0 and single-leaf cells are plain DAG distances.
+
+`solve_hop` reads the levels the instance keeps, and at t = h >= 3 builds one
+level DAG and one pair of side tables (left: points with x < 0, right: x >= 0,
+both with all of level 1) that the mixed and two-sided candidates share.  On
+a one-sided instance (source leftmost) the right table is the whole problem.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Sequence
 
@@ -32,9 +37,8 @@ from .model import (
     InfeasibleError,
     LevelPartition,
     StripInstance,
-    UnitDiskGraph,
-    build_graph,
     compute_levels,
+    connected_levels,
     dist2,
     make_broadcast_set,
     validate_broadcast,
@@ -48,65 +52,25 @@ class LevelDag:
     """Graph edges between consecutive levels, oriented low to high."""
 
     instance: StripInstance
-    graph: UnitDiskGraph
     part: LevelPartition
     children: tuple[tuple[int, ...], ...]
     parents: tuple[tuple[int, ...], ...]
-    _reach: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def reach_to(self, q: int) -> frozenset[int]:
-        """Vertices with a directed path to q (per-target backward walk)."""
-        if q not in self._reach:
-            seen = {q}
-            stack = [q]
-            while stack:
-                u = stack.pop()
-                for v in self.parents[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            self._reach[q] = frozenset(seen)
-        return self._reach[q]
-
-    def distance(self, p: int, q: int) -> float:
-        """Hop count from p to q in the DAG: the level gap, if reachable."""
-        if p == q:
-            return 0.0
-        if p in self.reach_to(q):
-            return self.part.level[q] - self.part.level[p]
-        return INF
 
 
-def build_level_dag(
-    instance: StripInstance,
-    hops: int | None = None,
-    part: LevelPartition | None = None,
-) -> LevelDag:
+def build_level_dag(instance: StripInstance) -> LevelDag:
     """Orient inter-level edges upward; same-level edges are dropped."""
-    graph = build_graph(instance)
-    if part is None:
-        part = compute_levels(instance)
-    if part.unreachable:
-        raise InfeasibleError(
-            "graph is disconnected; no broadcast set exists",
-            witness=part.unreachable,
-        )
-    t = part.depth
-    if hops is not None and t > hops:
-        raise InfeasibleError(
-            f"points at hop level {t} cannot be reached within {hops} hops"
-        )
-    n = graph.n
+    part = connected_levels(instance)
+    adj = instance.graph.adj
+    n = instance.n
     children: list[list[int]] = [[] for _ in range(n)]
     parents: list[list[int]] = [[] for _ in range(n)]
     for u in range(n):
-        for v in graph.adj[u]:
+        for v in adj[u]:
             if part.level[v] == part.level[u] + 1:
                 children[u].append(v)
                 parents[v].append(u)
     return LevelDag(
         instance,
-        graph,
         part,
         tuple(tuple(sorted(c)) for c in children),
         tuple(tuple(sorted(p)) for p in parents),
@@ -224,67 +188,6 @@ def _walk_table(table: OneSidedTable, p: int, i: int, j: int, out: set[int]) -> 
     else:
         out.add(pick[1])
         _walk_table(table, pick[1], i, j, out)
-
-
-def one_sided_dp(
-    instance: StripInstance, hops: int | None = None
-) -> tuple[OneSidedTable, BroadcastSet]:
-    """Solve the one-sided problem (source leftmost) with t = hops levels."""
-    if not instance.is_narrow():
-        raise ContractError("one-sided DP requires a narrow strip")
-    if any(p.x < 0.0 for p in instance.points):
-        raise ContractError("one-sided input must have the source leftmost")
-    part = compute_levels(instance)
-    if part.unreachable:
-        raise InfeasibleError("graph is disconnected", witness=part.unreachable)
-    t = part.depth
-    h = hops if hops is not None else instance.hops
-    if h is None:
-        h = t
-    if t > h:
-        raise InfeasibleError(f"points at hop level {t} cannot be reached in {h} hops")
-    if t < h:
-        raise ContractError("one-sided DP expects t = h; dispatch handles t < h")
-    dag = build_level_dag(instance, h, part)
-    terminals = _sorted_terminals(instance, part.levels[t])
-    if not terminals:
-        raise ContractError("last level empty although t = h")
-    table = _fill_table(dag, frozenset(range(instance.n)), terminals)
-
-    candidates: list[BroadcastSet] = []
-    root_val = table.value(instance.source, 1, table.m)
-    if root_val < INF:
-        actives: set[int] = {instance.source}
-        _walk_table(table, instance.source, 1, table.m, actives)
-        arb = make_broadcast_set(instance, actives)
-        if validate_broadcast(instance, arb, hops=h).valid:
-            candidates.append(arb)
-    try:
-        path = narrow_mod.solve_narrow(instance)
-        if validate_broadcast(instance, path, hops=h).valid:
-            candidates.append(path)
-    except InfeasibleError:
-        pass
-    if not candidates:
-        raise AssertionError("internal error: no feasible one-sided candidate")
-    best = min(candidates, key=lambda b: b.size)
-    return table, best
-
-
-def second_point_candidates(table: OneSidedTable) -> tuple[int, ...]:
-    """Level-1 points usable as the source's child in some minimum arborescence."""
-    dag = table.dag
-    src = dag.instance.source
-    level1 = [p for p in sorted(table.vertices) if dag.part.level[p] == 1]
-    m = table.m
-    total = table.value(src, 1, m)
-    if total == INF or m == 0:
-        return ()
-    out = []
-    for p in level1:
-        if _second_point_split(table, p) is not None:
-            out.append(p)
-    return tuple(out)
 
 
 def _second_point_split(table: OneSidedTable, p: int) -> tuple[int, int] | None:
@@ -513,38 +416,6 @@ def _walk_joint(
 _MAX_TWO_SIDED_POINTS = 400
 
 
-def _refuse_large_two_sided(instance: StripInstance, max_points: int) -> None:
-    if instance.n > max_points:
-        raise ContractError(
-            f"two-sided DP refuses n={instance.n} > {max_points} (table memory)"
-        )
-
-
-def two_sided_dp(
-    instance: StripInstance,
-    hops: int | None = None,
-    max_points: int = _MAX_TWO_SIDED_POINTS,
-) -> BroadcastSet:
-    """Minimum broadcast from a two-sided arborescence for the last level."""
-    if not instance.is_narrow():
-        raise ContractError("two-sided DP requires a narrow strip")
-    _refuse_large_two_sided(instance, max_points)
-    part = compute_levels(instance)
-    if part.unreachable:
-        raise InfeasibleError("graph is disconnected", witness=part.unreachable)
-    t = part.depth
-    h = hops if hops is not None else instance.hops
-    if h is None:
-        h = t
-    if t > h:
-        raise InfeasibleError(f"points at hop level {t} cannot be reached in {h} hops")
-    if t < h:
-        raise ContractError("two-sided DP expects t = h; dispatch handles t < h")
-    dag = build_level_dag(instance, h, part)
-    left, right = _side_tables(instance, dag)
-    return _two_sided(instance, dag, left, right)
-
-
 def _two_sided(
     instance: StripInstance,
     dag: LevelDag,
@@ -570,13 +441,7 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
         return narrow_mod.solve_narrow(instance)
     if h < 1:
         raise ContractError("hop bound must be >= 1")
-    part = compute_levels(instance)
-    if part.unreachable:
-        raise InfeasibleError(
-            "graph is disconnected; no broadcast set exists",
-            witness=part.unreachable,
-        )
-    t = part.depth
+    t = connected_levels(instance).depth
     if t > h:
         raise InfeasibleError(
             f"infeasible: points at hop level t={t} exceed the bound h={h}"
@@ -600,12 +465,16 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
         pass
     # one DAG, one pair of side tables and one covering split serve the
     # mixed and two-sided candidates alike
-    dag = build_level_dag(instance, h, part)
+    dag = build_level_dag(instance)
     left, right = _side_tables(instance, dag)
     covering = narrow_mod.compute_covering_sets(instance)
     consider(_mixed_candidate(instance, right, "+", covering))
     consider(_mixed_candidate(instance, left, "-", covering))
-    _refuse_large_two_sided(instance, _MAX_TWO_SIDED_POINTS)
+    if instance.n > _MAX_TWO_SIDED_POINTS:
+        raise ContractError(
+            f"two-sided DP refuses n={instance.n} > {_MAX_TWO_SIDED_POINTS} "
+            "(table memory)"
+        )
     try:
         consider(_two_sided(instance, dag, left, right))
     except InfeasibleError:

@@ -48,6 +48,15 @@ def serialize_instance(instance: StripInstance, meta: dict | None = None) -> str
     return "\n".join(lines) + "\n"
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def parse_instance(text: str) -> StripInstance:
     try:
         doc = json.loads(text)
@@ -59,16 +68,16 @@ def parse_instance(text: str) -> StripInstance:
     if fmt != FORMAT:
         raise ParseError(f"field 'format': expected {FORMAT!r}, got {fmt!r}")
     width = doc.get("width")
-    if width is not None and not isinstance(width, (int, float)):
+    if width is not None and not _is_number(width):
         raise ParseError("field 'width': must be a number or null")
     radius = doc.get("radius", 1)
-    if not isinstance(radius, (int, float)) or radius <= 0:
+    if not _is_number(radius) or radius <= 0:
         raise ParseError("field 'radius': must be a positive number")
     hops = doc.get("hops")
-    if hops is not None and (not isinstance(hops, int) or hops < 1):
+    if hops is not None and (not _is_int(hops) or hops < 1):
         raise ParseError("field 'hops': must be a positive integer or null")
     source = doc.get("source")
-    if not isinstance(source, int):
+    if not _is_int(source):
         raise ParseError("field 'source': must be an integer index")
     raw = doc.get("points")
     if not isinstance(raw, list) or not raw:
@@ -78,7 +87,7 @@ def parse_instance(text: str) -> StripInstance:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(c, (int, float)) for c in entry)
+            or not all(_is_number(c) for c in entry)
         ):
             raise ParseError(f"field 'points[{i}]': must be a pair of numbers")
         pts.append((float(entry[0]), float(entry[1])))

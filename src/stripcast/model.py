@@ -1,7 +1,12 @@
 """Core data types: strip instances, unit-disk graphs, hop levels, validation.
 
 Everything downstream (the narrow/hop/two-hop/wide solvers and the brute-force
-oracle) works on the immutable types defined here.  Conventions:
+oracle) works on the immutable types defined here.  An instance is prepared
+once: it keeps its unit-disk graph and its BFS hop levels from the source,
+each computed on first use, and every solver reads those copies.  The points
+outside the source disk are read from the graph (`outside_source_disk`), and
+`connected_levels` is the one place a disconnected instance is refused.
+Conventions:
 
 * instances are normalized on construction: the source is translated to x = 0
   and coordinates are rescaled so the transmission radius is 1;
@@ -68,7 +73,8 @@ class StripInstance:
 
     ``width`` is None for planar (unbounded) instances.  After normalization
     the source sits at x = 0 and the radius is 1.  ``graph`` and ``fragile``
-    come from one sweep over the points on first use and are kept with the
+    come from one sweep over the points on first use, ``levels`` from one
+    breadth-first search in that graph, and all three are kept with the
     instance; equality and hashing see only the four fields.
     """
 
@@ -101,6 +107,15 @@ class StripInstance:
     def fragile(self) -> bool:
         """Whether some pairwise distance lies within FRAGILE_TOL of the radius."""
         return self._swept[1]
+
+    @cached_property
+    def levels(self) -> LevelPartition:
+        """BFS hop levels from the source in ``graph``.
+
+        On a narrow strip, raises ContractError if neighbouring levels overlap
+        by more than 1/2 in x.
+        """
+        return _bfs_levels(self)
 
 
 def make_instance(
@@ -245,19 +260,39 @@ class LevelPartition:
         return len(self.levels) - 1
 
 
-def compute_levels(
-    instance: StripInstance, source: int | None = None
-) -> LevelPartition:
-    """BFS levels from the source; asserts the narrow-strip level-overlap bound."""
-    graph = build_graph(instance)
-    src = instance.source if source is None else source
-    n = graph.n
+def compute_levels(instance: StripInstance) -> LevelPartition:
+    """The BFS levels from the source that the instance keeps (``levels``)."""
+    return instance.levels
+
+
+def connected_levels(instance: StripInstance) -> LevelPartition:
+    """The instance's levels; raises InfeasibleError if some point is unreachable."""
+    part = instance.levels
+    if part.unreachable:
+        raise InfeasibleError(
+            "graph is disconnected; no broadcast set exists",
+            witness=part.unreachable,
+        )
+    return part
+
+
+def outside_source_disk(instance: StripInstance) -> list[int]:
+    """Points farther than 1 from the source: neither it nor its neighbours."""
+    s = instance.source
+    near = instance.graph.adj[s]
+    return [i for i in range(instance.n) if i != s and i not in near]
+
+
+def _bfs_levels(instance: StripInstance) -> LevelPartition:
+    adj = instance.graph.adj
+    src = instance.source
+    n = instance.n
     level: list[float] = [INF] * n
     level[src] = 0
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for v in graph.adj[u]:
+        for v in adj[u]:
             if level[v] == INF:
                 level[v] = level[u] + 1
                 queue.append(v)

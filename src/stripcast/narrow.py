@@ -26,11 +26,12 @@ from .model import (
     Point,
     StripInstance,
     build_graph,
-    compute_levels,
+    connected_levels,
     core_region,
     dist2,
     in_rect,
     make_broadcast_set,
+    outside_source_disk,
     validate_broadcast,
 )
 
@@ -67,13 +68,6 @@ def _require_narrow(instance: StripInstance) -> None:
         raise ContractError("this solver requires a strip of width <= sqrt(3)/2")
 
 
-def _outside_indices(instance: StripInstance) -> list[int]:
-    s = instance.source_point
-    return [
-        i for i, p in enumerate(instance.points) if dist2(p, s) > 1.0
-    ]
-
-
 def compute_covering_sets(instance: StripInstance) -> CoveringSets:
     """Classify points into right-/left-covering via the three-zone split.
 
@@ -84,7 +78,7 @@ def compute_covering_sets(instance: StripInstance) -> CoveringSets:
     """
     _require_narrow(instance)
     pts = instance.points
-    outside = _outside_indices(instance)
+    outside = outside_source_disk(instance)
     if not outside:
         inside = tuple(i for i in range(instance.n))
         return CoveringSets(inside, inside, ())
@@ -112,7 +106,7 @@ def compute_covering_sets(instance: StripInstance) -> CoveringSets:
 def covering_sets_oracle(instance: StripInstance) -> CoveringSets:
     """Definitional O(n^2) scan (test oracle for compute_covering_sets)."""
     pts = instance.points
-    outside = _outside_indices(instance)
+    outside = outside_source_disk(instance)
     if not outside:
         inside = tuple(i for i in range(instance.n))
         return CoveringSets(inside, inside, ())
@@ -141,7 +135,7 @@ def find_small(instance: StripInstance) -> BroadcastSet | None:
     """Solution of size 1 ({s} dominates) or 2 ({s, p} with p covering the rest)."""
     pts = instance.points
     s = instance.source
-    outside = _outside_indices(instance)
+    outside = outside_source_disk(instance)
     if not outside:
         return make_broadcast_set(instance, [s])
     outside_set = set(outside)
@@ -163,7 +157,7 @@ def find_bidirectional(instance: StripInstance) -> BroadcastSet | None:
     """
     _require_narrow(instance)
     pts = instance.points
-    outside = _outside_indices(instance)
+    outside = outside_source_disk(instance)
     if not outside:
         return None
     core = core_region(instance, instance.source)
@@ -198,7 +192,7 @@ def find_bidirectional(instance: StripInstance) -> BroadcastSet | None:
 def backward_level_sets(
     instance: StripInstance,
     side: str,
-    covering: CoveringSets | None = None,
+    covering: CoveringSets,
 ) -> BackwardLevels:
     """Level the points backwards from one covering set toward the source disk.
 
@@ -206,8 +200,6 @@ def backward_level_sets(
     the first level touching the closed source disk.
     """
     _require_narrow(instance)
-    if covering is None:
-        covering = compute_covering_sets(instance)
     if side not in ("+", "-"):
         raise ContractError("side must be '+' or '-'")
     first = covering.q_plus if side == "+" else covering.q_minus
@@ -255,12 +247,7 @@ def solve_narrow(instance: StripInstance) -> BroadcastSet:
 def solve_narrow_detailed(instance: StripInstance) -> tuple[BroadcastSet, dict]:
     """Like solve_narrow, also reporting the structure class and path witnesses."""
     _require_narrow(instance)
-    part = compute_levels(instance)
-    if part.unreachable:
-        raise InfeasibleError(
-            "graph is disconnected; no broadcast set exists",
-            witness=part.unreachable,
-        )
+    connected_levels(instance)
 
     small = find_small(instance)
     if small is not None:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import geom
 from .model import (
     BroadcastSet,
     ContractError,
@@ -25,8 +24,10 @@ from .model import (
     StripInstance,
     dist2,
     make_broadcast_set,
+    outside_source_disk,
     validate_broadcast,
 )
+from .narrow import find_small
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ def angular_order(instance: StripInstance) -> AngularInstance:
     """Order the outside points CCW and materialize the candidate disks."""
     pts = instance.points
     s = instance.source_point
-    outside = [i for i in range(instance.n) if dist2(pts[i], s) > 1.0]
+    outside = outside_source_disk(instance)
     if not outside:
         raise ContractError(
             "no points outside the source disk; sizes 1-2 apply"
@@ -69,9 +70,7 @@ def angular_order(instance: StripInstance) -> AngularInstance:
     m = len(outside)
     disks = []
     covers = []
-    for c in range(instance.n):
-        if c == instance.source or dist2(pts[c], s) > 1.0:
-            continue
+    for c in sorted(instance.graph.adj[instance.source]):
         mask = 0
         for pos, q in enumerate(outside):
             if dist2(pts[c], pts[q]) <= 1.0:
@@ -90,22 +89,6 @@ def angular_order(instance: StripInstance) -> AngularInstance:
         disks_at.append(at)
     return AngularInstance(
         instance, tuple(outside), tuple(disks), tuple(disks_at), tuple(covers)
-    )
-
-
-def compute_next(ai: AngularInstance, i: int, disk: int | None = None) -> int:
-    """First position in the cyclic sequence from i not coverable by one disk.
-
-    With ``disk`` given, this is the end of that candidate's covered prefix
-    from i (i itself when the disk misses i); otherwise the latest stop over
-    all candidates covering position i is returned.
-    """
-    if disk is not None:
-        return _next_after(ai, i, _rotated_prefix(ai, i, disk)[1])
-    if not ai.disks_at[i]:
-        raise ContractError("position has no covering disk")
-    return _next_after(
-        ai, i, max(_rotated_prefix(ai, i, d)[1] for d in ai.disks_at[i])
     )
 
 
@@ -145,18 +128,6 @@ def _runs_after_prefix(
         runs.append((low.bit_length() - 1, (carry & -carry).bit_length() - 2))
         rest &= carry
     return prefix, runs
-
-
-def interval_set(ai: AngularInstance, i: int, j: int, disk: int) -> list[tuple[int, int]]:
-    """Split pairs induced by the disk's covered runs inside [i, j] beyond its
-    initial prefix: one (before-run, after-run) position pair per run."""
-    m = ai.m
-    length = (j - i) % m + 1
-    return [
-        ((i + start_off - 1) % m, (i + min(end_off, length - 1) + 1) % m)
-        for start_off, end_off in _runs_after_prefix(ai, i, disk)[1]
-        if start_off < length
-    ]
 
 
 @dataclass
@@ -265,18 +236,11 @@ def _collect_disks(table: CoverTable, start: int, length: int, out: set[int]) ->
 
 def solve_two_hop(instance: StripInstance) -> BroadcastSet:
     """Minimum 2-hop broadcast set for a planar (or strip) instance."""
-    pts = instance.points
-    s = instance.source
-    sp = instance.source_point
-    outside = [i for i in range(instance.n) if dist2(pts[i], sp) > 1.0]
-    if not outside:
-        return make_broadcast_set(instance, [s])
-    inside = [i for i in range(instance.n) if dist2(pts[i], sp) <= 1.0]
-    mask = geom.intersection_mask([pts[i] for i in outside], [pts[i] for i in inside])
-    for i, ok in zip(inside, mask):
-        if ok and i != s:
-            return make_broadcast_set(instance, [s, i])
+    small = find_small(instance)
+    if small is not None:
+        return small
 
+    s = instance.source
     ai = angular_order(instance)
     table = cover_dp(ai)
     m = ai.m
@@ -349,7 +313,7 @@ def boundary_sequence(instance: StripInstance, active: BroadcastSet) -> list[int
     pts = instance.points
     s = instance.source_point
     outside = sorted(
-        (i for i in range(instance.n) if dist2(pts[i], s) > 1.0),
+        outside_source_disk(instance),
         key=lambda i: (_ccw_angle(s, pts[i]), dist2(pts[i], s), i),
     )
     centers = [(i, pts[i]) for i in active.active]

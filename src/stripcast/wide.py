@@ -21,7 +21,6 @@ anchor requires at most one class and all input points dominated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -32,7 +31,7 @@ from .model import (
     StripInstance,
     UnitDiskGraph,
     build_graph,
-    compute_levels,
+    connected_levels,
     make_broadcast_set,
     min_over_sources,
     validate_broadcast,
@@ -48,15 +47,6 @@ def mu(width: float) -> int:
     if width <= 0:
         raise ContractError("width must be positive")
     return math.floor(32.0 * width / math.sqrt(3.0) + 14.0)
-
-
-@dataclass(frozen=True)
-class WindowState:
-    """Frontier actives and their connectivity partition at anchor k."""
-
-    k: int
-    active: frozenset[int]
-    classes: tuple[frozenset[int], ...]
 
 
 def _in_window(x: float, k: int) -> bool:
@@ -123,31 +113,6 @@ def _point_groups(indices: Iterable[int], closed: Sequence[int]):
     return [(1 << i, closed[i]) for i in indices]
 
 
-def _components(instance: StripInstance, members: frozenset[int]):
-    closed = _closed_masks(build_graph(instance))
-    classes = _merge((), _point_groups(sorted(members), closed))
-    return tuple(frozenset(_bits(c)) for c in classes)
-
-
-def compatible(
-    instance: StripInstance, prev: WindowState, cur: WindowState
-) -> bool:
-    """Whether cur can directly extend prev (anchors k and k+1)."""
-    if cur.k != prev.k + 1:
-        raise ContractError("compatibility is defined for consecutive anchors")
-    pts = instance.points
-    if {i for i in prev.active if _in_window(pts[i].x, cur.k)} != {
-        i for i in cur.active if _in_window(pts[i].x, prev.k)
-    }:
-        return False
-    closed = _closed_masks(build_graph(instance))
-    active = _mask(cur.active)
-    kept = [m for c in prev.classes if (m := _mask(c) & active)]
-    fresh = sorted(i for i in cur.active if not _in_window(pts[i].x, prev.k))
-    classes = _merge(kept, _point_groups(fresh, closed))
-    return classes == tuple(_mask(c) for c in cur.classes)
-
-
 def _subsets(items: list[int], max_extra: int):
     for r in range(0, min(len(items), max_extra) + 1):
         yield from combinations(items, r)
@@ -169,12 +134,7 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
     """Minimum broadcast set on a strip of any width."""
     if instance.width is None:
         raise ContractError("the window DP requires a finite strip width")
-    part = compute_levels(instance)
-    if part.unreachable:
-        raise InfeasibleError(
-            "graph is disconnected; no broadcast set exists",
-            witness=part.unreachable,
-        )
+    connected_levels(instance)
     pts = instance.points
     n = instance.n
     src = instance.source

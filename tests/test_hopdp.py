@@ -2,24 +2,26 @@ import math
 
 import pytest
 
+from stripcast import hopdp
 from stripcast.hopdp import (
     _fill_joint,
     _mixed_candidate,
     _root_cost,
+    _second_point_split,
     _side_tables,
+    _two_sided,
+    _walk_table,
     arborescence_is_nice,
     build_level_dag,
     build_pred_arborescence,
-    one_sided_dp,
-    second_point_candidates,
     solve_hop,
-    two_sided_dp,
 )
 from stripcast.io_cli import gen_random_strip
 from stripcast.model import (
     ContractError,
     InfeasibleError,
     compute_levels,
+    make_broadcast_set,
     make_instance,
     validate_broadcast,
 )
@@ -43,12 +45,45 @@ def one_sided(n, w, seed):
     )
 
 
+def one_sided_best(inst):
+    """The right side table of a one-sided instance (source leftmost), which
+    holds every point, and the smaller valid set of its arborescence and the
+    path-like solution at h = depth."""
+    h = compute_levels(inst).depth
+    _, table = _side_tables(inst, build_level_dag(inst))
+    src = inst.source
+    candidates = []
+    if table.value(src, 1, table.m) < INF:
+        actives = {src}
+        _walk_table(table, src, 1, table.m, actives)
+        candidates.append(make_broadcast_set(inst, actives))
+    try:
+        candidates.append(solve_narrow(inst))
+    except InfeasibleError:
+        pass
+    valid = [c for c in candidates if validate_broadcast(inst, c, hops=h).valid]
+    return table, min(valid, key=lambda b: b.size)
+
+
+def second_points(table):
+    """Level-1 points usable as the source's child in a minimum arborescence."""
+    levels = table.dag.part.levels
+    level1 = sorted(levels[1]) if len(levels) > 1 else []
+    return tuple(p for p in level1 if _second_point_split(table, p) is not None)
+
+
+def two_sided(inst):
+    """The two-sided candidate over the DAG and side tables solve_hop fills."""
+    dag = build_level_dag(inst)
+    return _two_sided(inst, dag, *_side_tables(inst, dag))
+
+
 def test_level_dag_chain():
     inst = chain(4)
     dag = build_level_dag(inst)
     assert dag.children[0] == (1,)
     assert dag.children[1] == (2,)
-    assert dag.distance(0, 3) == 3
+    assert dag.children[2] == (3,) and dag.parents[3] == (2,)
 
 
 def test_level_dag_no_same_level_arcs():
@@ -59,9 +94,16 @@ def test_level_dag_no_same_level_arcs():
     assert 2 not in dag.children[1] and 1 not in dag.children[2]
 
 
-def test_level_dag_hop_bound():
+def test_level_dag_hop_bound(monkeypatch):
+    # the DAG spans every level; solve_hop refuses t > h before building it
+    assert build_level_dag(chain(5)).part.depth == 4
+
+    def no_dag(inst):
+        raise AssertionError("level DAG built although t > h")
+
+    monkeypatch.setattr(hopdp, "build_level_dag", no_dag)
     with pytest.raises(InfeasibleError):
-        build_level_dag(chain(5), hops=3)
+        solve_hop(chain(5), 3)
 
 
 def two_interleaved_paths():
@@ -87,7 +129,7 @@ def test_interleaved_paths_dag_structure():
     part = compute_levels(inst)
     assert [int(part.level[i]) for i in range(6)] == [0, 1, 1, 2, 2, 3]
     dag = build_level_dag(inst)
-    assert dag.distance(0, 5) == 3
+    assert dag.parents[5] == (3, 4)
     # both routes exist
     assert 4 in dag.children[1]
     assert 3 in dag.children[2]
@@ -107,23 +149,20 @@ def test_infeasible_witness_tree_is_never_returned():
 
 def test_one_sided_single_path():
     inst = chain(4)
-    part = compute_levels(inst)
-    table, got = one_sided_dp(inst, part.depth)
+    table, got = one_sided_best(inst)
+    assert table.vertices == frozenset(range(4)) and table.terminals == (3,)
     assert got.size == 3
     assert got.active == (0, 1, 2)
 
 
-def test_one_sided_requires_leftmost_source():
-    inst = make_instance(
-        [(0.0, 0.25), (-0.9, 0.25)], width=0.5, warn_fragile=False
-    )
-    with pytest.raises(ContractError):
-        one_sided_dp(inst, 1)
+def test_one_sided_requires_tight_bound(monkeypatch):
+    # the tables are only built at t = h; below it solve_hop is solve_narrow
+    def no_dag(inst):
+        raise AssertionError("level DAG built although t < h")
 
-
-def test_one_sided_requires_tight_bound():
-    with pytest.raises(ContractError):
-        one_sided_dp(chain(3), 5)
+    monkeypatch.setattr(hopdp, "build_level_dag", no_dag)
+    inst = chain(3)
+    assert solve_hop(inst, 5).active == solve_narrow(inst).active
 
 
 def test_one_sided_matches_oracle():
@@ -134,7 +173,7 @@ def test_one_sided_matches_oracle():
         part = compute_levels(inst)
         if part.unreachable or part.depth < 1:
             continue
-        table, got = one_sided_dp(inst, part.depth)
+        table, got = one_sided_best(inst)
         want = brute_min_broadcast(inst, hops=part.depth)
         assert got.size == want.size
         assert validate_broadcast(inst, got, hops=part.depth).valid
@@ -157,9 +196,8 @@ def y_fork():
 
 def test_second_points_single_path():
     inst = chain(4)
-    part = compute_levels(inst)
-    table, _ = one_sided_dp(inst, part.depth)
-    assert second_point_candidates(table) == (1,)
+    table, _ = one_sided_best(inst)
+    assert second_points(table) == (1,)
 
 
 def test_second_points_fork_has_both_children():
@@ -169,17 +207,17 @@ def test_second_points_fork_has_both_children():
     inst = y_fork()
     part = compute_levels(inst)
     assert part.depth == 2
-    table, got = one_sided_dp(inst, 2)
+    table, got = one_sided_best(inst)
     assert got.size == 3
-    assert second_point_candidates(table) == (1, 2)
+    assert second_points(table) == (1, 2)
 
 
 def test_second_points_empty_level_one():
     # a lone source has no level-1 points: no second-point candidates
     inst = make_instance([(0.0, 0.25)], width=0.5)
-    table, got = one_sided_dp(inst, 0)
+    table, got = one_sided_best(inst)
     assert got.active == (0,)
-    assert second_point_candidates(table) == ()
+    assert second_points(table) == ()
 
 
 def test_two_sided_mirror_symmetry():
@@ -191,18 +229,16 @@ def test_two_sided_mirror_symmetry():
         pts.append((-i * 0.95, 0.25))
     inst = make_instance(pts, width=0.5, warn_fragile=False)
     part = compute_levels(inst)
-    one_side = chain(4)
-    _, one_got = one_sided_dp(one_side, 3)
-    got = two_sided_dp(inst, part.depth)
+    _, one_got = one_sided_best(chain(4))
+    got = two_sided(inst)
     assert got.size == 2 * one_got.size - 1
     assert got.size == brute_min_broadcast(inst, hops=part.depth).size
 
 
 def test_two_sided_one_side_empty_reduces():
     inst = chain(5)
-    part = compute_levels(inst)
-    table, one_got = one_sided_dp(inst, part.depth)
-    two_got = two_sided_dp(inst, part.depth)
+    table, one_got = one_sided_best(inst)
+    two_got = two_sided(inst)
     assert two_got.size == one_got.size
 
 
@@ -220,7 +256,7 @@ def test_two_sided_matches_oracle():
             continue
         h = part.depth
         try:
-            got = two_sided_dp(inst, h)
+            got = two_sided(inst)
         except InfeasibleError:
             continue
         want = brute_min_broadcast(inst, hops=h)
@@ -268,7 +304,7 @@ def test_joint_table_recurrence_at_benchmark_scale():
         inst = gen_random_strip(50, 0.86, seed, min_sep=0.05, span=1.5)
         part = compute_levels(inst)
         assert not part.unreachable and part.depth == 2
-        dag = build_level_dag(inst, 2)
+        dag = build_level_dag(inst)
         left, right = _side_tables(inst, dag)
         assert left.m >= 5 and right.m >= 5
         table = _fill_joint(inst, dag, left, right)
@@ -281,7 +317,7 @@ def test_joint_table_recurrence_at_benchmark_scale():
                         cells += 1
         root = table.value(1, left.m, 1, right.m)
         assert root < INF
-        assert two_sided_dp(inst, 2).size <= root
+        assert two_sided(inst).size <= root
     assert cells >= 10000
 
 
@@ -307,7 +343,7 @@ def test_solve_hop_matches_oracle_at_depth_three_to_five():
         got = solve_hop(inst, h)
         assert validate_broadcast(inst, got, hops=h).valid
         assert got.size == brute_min_broadcast(inst, hops=h).size, seed
-        if not validate_broadcast(inst, two_sided_dp(inst, h), hops=h).valid:
+        if not validate_broadcast(inst, two_sided(inst), hops=h).valid:
             invalid_two_sided += 1
     assert kept >= 100
     assert invalid_two_sided >= 30
@@ -333,11 +369,11 @@ def test_solve_hop_at_depth_two_is_the_two_hop_set():
         assert not part.unreachable and part.depth == 2
         got = solve_hop(inst, 2)
         assert got.active == solve_two_hop(inst).active
-        dag = build_level_dag(inst, 2)
+        dag = build_level_dag(inst)
         left, right = _side_tables(inst, dag)
         covering = compute_covering_sets(inst)
         others = [
-            two_sided_dp(inst, 2),
+            _two_sided(inst, dag, left, right),
             _mixed_candidate(inst, right, "+", covering),
             _mixed_candidate(inst, left, "-", covering),
         ]
@@ -380,14 +416,12 @@ def test_solve_hop_fragile_lattice_depth_at_most_two():
 
 
 def test_two_sided_refusal_reaches_solve_hop():
-    # the joint table is refused above 400 points, also when solve_hop
-    # reaches it through the shared side tables
+    # the joint table is refused above 400 points, after the side tables
     inst = gen_random_strip(401, 0.3, 5, min_sep=0.01, span=25)
     part = compute_levels(inst)
-    assert not part.unreachable
-    for solve in (two_sided_dp, solve_hop):
-        with pytest.raises(ContractError, match="refuses n=401 > 400"):
-            solve(inst, part.depth)
+    assert not part.unreachable and part.depth >= 3
+    with pytest.raises(ContractError, match="refuses n=401 > 400"):
+        solve_hop(inst, part.depth)
 
 
 def test_solve_hop_dispatch_bounds():

@@ -75,6 +75,32 @@ def test_radius_rescaled_on_parse():
         (lambda d: d.replace("[0, 1]", "[0]"), "points[0]"),
         (lambda d: d.replace('"width": 2.0', '"width": "wide"'), "width"),
         (lambda d: d[:-3], "JSON"),
+        # JSON true/false load as bool, a subclass of int
+        pytest.param(
+            lambda d: d.replace('"hops": null', '"hops": true'),
+            "field 'hops'",
+            id="bool-hops",
+        ),
+        pytest.param(
+            lambda d: d.replace('"source": 0', '"source": false'),
+            "field 'source'",
+            id="bool-source",
+        ),
+        pytest.param(
+            lambda d: d.replace("[2, 1]", "[true, 1]"),
+            "field 'points[1]'",
+            id="bool-coordinate",
+        ),
+        pytest.param(
+            lambda d: d.replace('"width": 2.0', '"width": false'),
+            "field 'width'",
+            id="bool-width",
+        ),
+        pytest.param(
+            lambda d: d.replace('"radius": 2', '"radius": true'),
+            "field 'radius'",
+            id="bool-radius",
+        ),
     ],
 )
 def test_parse_errors_name_the_field(mangle, needle):
@@ -226,6 +252,9 @@ def test_cli_auto_hop_dispatch(tmp_path):
     assert code == 0 and out.splitlines()[0] == "size 3"
     code, _ = run_cli(["solve", path, "--hops", "2"])
     assert code == 2
+    # the next call carries no hop bound over from this one
+    code, out = run_cli(["solve", path])
+    assert code == 0 and out.splitlines()[0] == "size 3"
 
 
 def test_cli_verify(tmp_path):

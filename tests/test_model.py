@@ -20,9 +20,12 @@ from stripcast.model import (
     in_rect,
     make_broadcast_set,
     make_instance,
+    outside_source_disk,
     validate_broadcast,
 )
+from stripcast.hopdp import solve_hop
 from stripcast.io_cli import gen_bundle, gen_random_strip, save_instance
+from test_wide import _lattice_ulp_strip_corpus
 
 
 def chain(k, spacing=1.0, width=0.5):
@@ -228,6 +231,39 @@ def test_level_side_split():
     part = compute_levels(inst)
     assert part.plus[1] == (1,)
     assert part.minus[1] == (2,)
+
+
+def test_levels_kept_with_the_instance(monkeypatch):
+    searches = []
+    real = model._bfs_levels
+
+    def counting(inst):
+        searches.append(inst.n)
+        return real(inst)
+
+    monkeypatch.setattr(model, "_bfs_levels", counting)
+    # t < h (solve_narrow) and t = h >= 3 (DAG, side tables, candidates)
+    for inst, h in ((chain(4, spacing=0.95), 5), (chain(5, spacing=0.95), 4)):
+        searches.clear()
+        part = compute_levels(inst)
+        solve_hop(inst, h)
+        assert compute_levels(inst) is part and inst.levels is part
+        assert searches == [inst.n]
+
+
+def test_outside_source_disk_is_the_distance_test():
+    narrow_widths = (0.5, 0.75, math.sqrt(3) / 2)
+    corpus = _lattice_ulp_strip_corpus() + _lattice_ulp_strip_corpus(
+        widths=narrow_widths
+    )
+    fragile = 0
+    for coords, w in corpus:
+        inst = make_instance(coords, width=w, warn_fragile=False)
+        s = inst.source_point
+        want = [i for i, p in enumerate(inst.points) if dist2(p, s) > 1.0]
+        assert outside_source_disk(inst) == want, (coords, w)
+        fragile += inst.fragile
+    assert fragile >= 500
 
 
 def test_validate_all_active():

@@ -14,11 +14,12 @@ from stripcast.model import (
 from stripcast.oracle import brute_min_broadcast
 from stripcast.twohop import (
     _collect_disks,
+    _next_after,
+    _rotated_prefix,
+    _runs_after_prefix,
     angular_order,
     boundary_sequence,
-    compute_next,
     cover_dp,
-    interval_set,
     sigma_properties_ok,
     solve_two_hop,
     star_shape_ok,
@@ -95,16 +96,34 @@ def fan_instance():
     return planar(pts)
 
 
+def next_for_disk(ai, i, d):
+    """First position from i past disk d's covered prefix."""
+    return _next_after(ai, i, _rotated_prefix(ai, i, d)[1])
+
+
+def split_pairs(ai, i, j, d):
+    """The (before-run, after-run) position pairs of disk d's covered runs
+    inside [i, j] beyond its prefix, read from the runs cover_dp walks."""
+    m = ai.m
+    length = (j - i) % m + 1
+    return [
+        ((i + start_off - 1) % m, (i + min(end_off, length - 1) + 1) % m)
+        for start_off, end_off in _runs_after_prefix(ai, i, d)[1]
+        if start_off < length
+    ]
+
+
 def test_compute_next_per_disk():
     inst = fan_instance()
     ai = angular_order(inst)
     assert ai.order == (1, 2, 3, 4, 5)
     d0 = ai.disks.index(6)
     # disk 6 covers q positions 0 and 1, so the scan from 0 stops at 2
-    assert compute_next(ai, 0, d0) == 2
+    assert next_for_disk(ai, 0, d0) == 2
     d1 = ai.disks.index(7)
-    assert compute_next(ai, 2, d1) == 3
-    assert compute_next(ai, 0) == 2
+    assert next_for_disk(ai, 2, d1) == 3
+    # the farthest reach over every disk covering position 0
+    assert cover_dp(ai).next1[0] == 2
 
 
 def test_compute_next_single_coverage_wraps():
@@ -112,14 +131,14 @@ def test_compute_next_single_coverage_wraps():
     ai = angular_order(inst)
     d1 = ai.disks.index(7)
     # disk 7 covers position 2 only; from position 2 the next index is 3
-    assert compute_next(ai, 2, d1) == 3
+    assert next_for_disk(ai, 2, d1) == 3
 
 
 def test_interval_set_prefix_only():
     inst = fan_instance()
     ai = angular_order(inst)
     d0 = ai.disks.index(6)
-    assert interval_set(ai, 0, 4, d0) == []
+    assert split_pairs(ai, 0, 4, d0) == []
 
 
 def test_interval_set_detects_second_run():
@@ -138,7 +157,7 @@ def test_interval_set_detects_second_run():
     inst = planar(pts)
     ai = angular_order(inst)
     d = ai.disks.index(6)
-    pairs = interval_set(ai, 0, 4, d)
+    pairs = split_pairs(ai, 0, 4, d)
     assert pairs == [(3, 0)]  # run [4, 4] -> pair (3, 5 mod 5 = 0)
 
 
@@ -152,7 +171,7 @@ def test_interval_set_matches_scan_oracle():
             for d in ai.disks_at[i]:
                 length = rng.randrange(2, m + 1) if m >= 2 else 1
                 j = (i + length - 1) % m
-                pairs = interval_set(ai, i, j, d)
+                pairs = split_pairs(ai, i, j, d)
                 covered = [
                     bool(ai.covers[d] >> ((i + off) % m) & 1)
                     for off in range(length)
@@ -209,7 +228,7 @@ def test_cover_dp_matches_exhaustive_cover():
 
 
 def reevaluate(table, i, length):
-    """One cell of the cover recurrence, from interval_set and the table."""
+    """One cell of the cover recurrence, from split_pairs and the table."""
     ai = table.ai
     m = ai.m
     j = (i + length - 1) % m
@@ -224,7 +243,7 @@ def reevaluate(table, i, length):
         if offd >= length:
             best = min(best, 1)
             continue
-        for a, b in interval_set(ai, i, j, d):
+        for a, b in split_pairs(ai, i, j, d):
             offa = (a - i) % m
             offb = (b - i) % m
             cand = (

@@ -14,9 +14,6 @@ from stripcast.narrow import solve_narrow
 from stripcast.oracle import brute_min_broadcast, brute_min_cds
 from stripcast.wide import (
     TractabilityError,
-    WindowState,
-    _components,
-    compatible,
     mu,
     solve_wide,
     solve_wide_cds,
@@ -29,74 +26,6 @@ def test_mu_values():
     assert mu(0.01) == 14
     with pytest.raises(ContractError):
         mu(0.0)
-
-
-def test_compatible_identical_single_class():
-    inst = make_instance(
-        [(0.0, 0.5), (0.5, 0.5), (1.2, 0.5)], width=1.0, warn_fragile=False
-    )
-    active = frozenset({0, 1, 2})
-    classes = _components(inst, active)
-    prev = WindowState(0, frozenset({0, 1}), _components(inst, frozenset({0, 1})))
-    cur = WindowState(1, active, classes)
-    assert compatible(inst, prev, cur)
-
-
-def test_compatible_rejects_split_merge():
-    # prev says {0} and {1} are connected; cur declares them separate
-    inst = make_instance(
-        [(0.0, 0.5), (0.9, 0.5), (1.9, 0.5)], width=1.0, warn_fragile=False
-    )
-    prev = WindowState(0, frozenset({0, 1}), (frozenset({0, 1}),))
-    cur = WindowState(
-        1, frozenset({0, 1}), (frozenset({0}), frozenset({1}))
-    )
-    assert not compatible(inst, prev, cur)
-
-
-def test_compatible_requires_consecutive_anchors():
-    inst = make_instance([(0.0, 0.5)], width=1.0)
-    st = WindowState(0, frozenset({0}), (frozenset({0}),))
-    with pytest.raises(ContractError):
-        compatible(inst, st, WindowState(2, frozenset(), ()))
-
-
-def test_compatible_matches_connectivity_recomputation():
-    import random
-
-    rng = random.Random(6)
-    hits = 0
-    for seed in range(120):
-        n = 5 + seed % 8
-        inst = gen_random_strip(n, 1.2, seed + 40_000, min_sep=0.05)
-        pts = inst.points
-        k = rng.randrange(0, 3)
-        members = set(rng.sample(range(n), rng.randrange(1, n + 1))) | {0}
-        comps = _components(inst, frozenset(members))
-
-        def window(kk):
-            return frozenset(
-                i
-                for i in members
-                if (-kk - 1 <= pts[i].x <= -kk + 1) or (kk - 1 <= pts[i].x <= kk + 1)
-            )
-
-        def restrict(sub):
-            out = []
-            for c in comps:
-                cc = c & sub
-                if cc:
-                    out.append(frozenset(cc))
-            return tuple(sorted(out, key=min))
-
-        pu, cu = window(k), window(k + 1)
-        if not pu:
-            continue
-        prev = WindowState(k, pu, restrict(pu))
-        cur = WindowState(k + 1, cu, restrict(cu))
-        assert compatible(inst, prev, cur)
-        hits += 1
-    assert hits > 40
 
 
 def test_solve_wide_single_point():
