@@ -138,7 +138,7 @@ def criterion_structure():
                 return False, f"seed {s}: bidirectional center outside the core"
         else:
             graph = build_graph(inst)
-            covering = narrow.compute_covering_sets(inst)
+            covering = inst.covering
             paths = info["paths"]
             seen = []
             for side, path in paths.items():

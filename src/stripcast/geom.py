@@ -1,13 +1,10 @@
-"""Disk-intersection membership and the prefix/suffix coverage scan.
+"""The prefix/suffix coverage scan of the bidirectional-solution detector.
 
-``intersection_mask`` answers "which query points lie inside the
-intersection of a family of unit disks" by the exact pairwise test
-``dist2 <= 1.0``.
-
-``prefix_suffix_cover`` gives the coverage numbers used by the
-bidirectional-solution detector: for a probe p, how long a prefix (suffix) of
+For a probe p, ``prefix_suffix_cover`` gives how long a prefix (suffix) of
 one side's y-sorted outside points lies entirely inside the unit disk of p.
-Each scan stops at the first uncovered point.
+Each scan stops at the first uncovered point, under the exact test
+``dist2 <= 1.0``.  Every other adjacency the solvers need is read from the
+instance's unit-disk graph (``StripInstance.graph``).
 """
 
 from __future__ import annotations
@@ -15,16 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import InstanceError, Point, dist2
-
-
-def intersection_mask(
-    centers: Sequence[Point], queries: Sequence[Point]
-) -> list[bool]:
-    """For each query, whether it lies within distance 1 of every center."""
-    if not centers:
-        raise InstanceError("intersection membership needs a nonempty center set")
-    return [all(dist2(c, q) <= 1.0 for c in centers) for q in queries]
+from .model import Point, dist2
 
 
 @dataclass(frozen=True)

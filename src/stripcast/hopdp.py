@@ -16,10 +16,11 @@ rooted at p whose leaf set is the y-interval [i, j] of the last level.  The
 two-sided table at the source adds the root back in, so empty-interval cells
 are 0 and single-leaf cells are plain DAG distances.
 
-`solve_hop` reads the levels the instance keeps, and at t = h >= 3 builds one
-level DAG and one pair of side tables (left: points with x < 0, right: x >= 0,
-both with all of level 1) that the mixed and two-sided candidates share.  On
-a one-sided instance (source leftmost) the right table is the whole problem.
+`solve_hop` reads the levels and covering sets the instance keeps, and at
+t = h >= 3 builds one level DAG and one pair of side tables (left: points with
+x < 0, right: x >= 0, both with all of level 1) that the mixed and two-sided
+candidates share.  On a one-sided instance (source leftmost) the right table
+is the whole problem.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import narrow as narrow_mod
 from . import twohop as twohop_mod
@@ -37,9 +38,7 @@ from .model import (
     InfeasibleError,
     LevelPartition,
     StripInstance,
-    compute_levels,
     connected_levels,
-    dist2,
     make_broadcast_set,
     validate_broadcast,
 )
@@ -463,13 +462,12 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
         consider(narrow_mod.solve_narrow(instance))
     except InfeasibleError:
         pass
-    # one DAG, one pair of side tables and one covering split serve the
-    # mixed and two-sided candidates alike
+    # one DAG and one pair of side tables serve the mixed and two-sided
+    # candidates alike
     dag = build_level_dag(instance)
     left, right = _side_tables(instance, dag)
-    covering = narrow_mod.compute_covering_sets(instance)
-    consider(_mixed_candidate(instance, right, "+", covering))
-    consider(_mixed_candidate(instance, left, "-", covering))
+    consider(_mixed_candidate(instance, right, "+"))
+    consider(_mixed_candidate(instance, left, "-"))
     if instance.n > _MAX_TWO_SIDED_POINTS:
         raise ContractError(
             f"two-sided DP refuses n={instance.n} > {_MAX_TWO_SIDED_POINTS} "
@@ -490,36 +488,34 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
 
 
 def _mixed_candidate(
-    instance: StripInstance,
-    table: OneSidedTable,
-    arb_side: str,
-    covering: narrow_mod.CoveringSets,
+    instance: StripInstance, table: OneSidedTable, arb_side: str
 ) -> BroadcastSet | None:
     """Arborescence toward one side plus a shortest covering path to the other.
 
-    ``table`` is the arborescence side's one-sided table and ``covering`` the
-    instance's covering sets.  The path may enter the arborescence at a
-    shared second vertex; sharing is possible exactly when some optimal-child
-    candidate of the arborescence is also a possible second vertex of a
-    shortest covering path.
+    ``table`` is the arborescence side's one-sided table; the path runs to the
+    instance's covering set on the other side.  The path may enter the
+    arborescence at a shared second vertex; sharing is possible exactly when
+    some optimal-child candidate of the arborescence is also a possible
+    second vertex of a shortest covering path.
     """
     src = instance.source
     if not table.terminals or table.value(src, 1, table.m) == INF:
         return None
     pts = instance.points
-    sp = instance.source_point
     sign = 1.0 if arb_side == "+" else -1.0
-    path_side_used = any(pts[i].x * sign < 0.0 for i in covering.outside)
+    outside = instance.covering.outside
+    path_side_used = any(pts[i].x * sign < 0.0 for i in outside)
     if not path_side_used:
         actives: set[int] = {src}
         _walk_table(table, src, 1, table.m, actives)
         return make_broadcast_set(instance, actives)
 
     path_side = "-" if arb_side == "+" else "+"
-    back = narrow_mod.backward_level_sets(instance, path_side, covering)
+    back = narrow_mod.backward_level_sets(instance, path_side)
     if not back.reached:
         return None
-    entry = [i for i in back.levels[-1] if dist2(pts[i], sp) <= 1.0]
+    near = instance.graph.adj[src]
+    entry = [i for i in back.levels[-1] if i == src or i in near]
 
     start = None
     actives = {src}
@@ -540,90 +536,3 @@ def _mixed_candidate(
     actives.update(path)
     return make_broadcast_set(instance, actives)
 
-
-# --- test helper: predecessor arborescence and niceness --------------------
-
-
-def build_pred_arborescence(
-    instance: StripInstance, active: BroadcastSet
-) -> list[tuple[int, int]]:
-    """Arcs (pred(p), p) of the boundary-exit predecessor construction.
-
-    The construction is per side: a point at level >= 2 takes its predecessor
-    among the same-side active points of the previous level (level-1 points
-    of both signs feed level 2), through the exit point of the outward
-    horizontal ray from p; ties go to the highest y, then the smallest index.
-    Raises ContractError naming the point when no eligible active disk covers
-    it (possible on non-optimal inputs).
-    """
-    part = compute_levels(instance)
-    pts = instance.points
-    act = set(active.active)
-    t = part.depth
-    arcs = []
-    nodes = sorted(act | set(part.levels[t]))
-    for p in nodes:
-        if p == instance.source:
-            continue
-        lvl = part.level[p]
-        if lvl == INF or lvl == 0:
-            continue
-        side = "+" if pts[p].x >= 0.0 else "-"
-        sign = 1.0 if side == "+" else -1.0
-        prev = [
-            u
-            for u in part.levels[int(lvl) - 1]
-            if (u in act or u == instance.source)
-            and (int(lvl) - 1 <= 1 or _on_side(instance, u, side))
-        ]
-        if not any(dist2(pts[u], pts[p]) <= 1.0 for u in prev):
-            raise ContractError(
-                f"predecessor undefined for point {p}: no active disk on level "
-                f"{int(lvl) - 1} covers it"
-            )
-        y = pts[p].y
-        reach_x = pts[p].x * sign
-        grown = True
-        while grown:
-            grown = False
-            for u in prev:
-                dy = pts[u].y - y
-                if abs(dy) > 1.0:
-                    continue
-                g = math.sqrt(max(0.0, 1.0 - dy * dy))
-                lo = pts[u].x * sign - g
-                hi = pts[u].x * sign + g
-                if lo <= reach_x <= hi and hi > reach_x:
-                    reach_x = hi
-                    grown = True
-        owners = []
-        for u in prev:
-            dy = pts[u].y - y
-            if abs(dy) > 1.0:
-                continue
-            g = math.sqrt(max(0.0, 1.0 - dy * dy))
-            if pts[u].x * sign + g == reach_x:
-                owners.append(u)
-        owner = max(owners, key=lambda u: (pts[u].y, -u))
-        arcs.append((owner, p))
-    return arcs
-
-
-def arborescence_is_nice(
-    instance: StripInstance, arcs: Sequence[tuple[int, int]]
-) -> tuple[bool, tuple | None]:
-    """Same-side arcs between the same two levels must preserve y-order."""
-    part = compute_levels(instance)
-    pts = instance.points
-    by_group: dict[tuple[str, float], list[tuple[int, int]]] = {}
-    for u, v in arcs:
-        side = "+" if pts[v].x >= 0.0 else "-"
-        by_group.setdefault((side, part.level[v]), []).append((u, v))
-    for group in by_group.values():
-        for u, v in group:
-            for a, b in group:
-                if u == a:
-                    continue
-                if pts[v].y < pts[b].y and not (pts[u].y < pts[a].y):
-                    return False, ((u, v), (a, b))
-    return True, None

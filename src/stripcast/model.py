@@ -2,10 +2,11 @@
 
 Everything downstream (the narrow/hop/two-hop/wide solvers and the brute-force
 oracle) works on the immutable types defined here.  An instance is prepared
-once: it keeps its unit-disk graph and its BFS hop levels from the source,
-each computed on first use, and every solver reads those copies.  The points
-outside the source disk are read from the graph (`outside_source_disk`), and
-`connected_levels` is the one place a disconnected instance is refused.
+once: it keeps its unit-disk graph, its BFS hop levels from the source and,
+on narrow strips, its right-/left-covering sets, each computed on first use,
+and every solver reads those copies.  Levels, covering sets and the points
+outside the source disk (`outside_source_disk`) are all read from the graph,
+and `connected_levels` is the one place a disconnected instance is refused.
 Conventions:
 
 * instances are normalized on construction: the source is translated to x = 0
@@ -23,6 +24,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import takewhile
 from typing import Callable, Iterable, Sequence
 
 NARROW_LIMIT = math.sqrt(3.0) / 2.0
@@ -74,8 +76,9 @@ class StripInstance:
     ``width`` is None for planar (unbounded) instances.  After normalization
     the source sits at x = 0 and the radius is 1.  ``graph`` and ``fragile``
     come from one sweep over the points on first use, ``levels`` from one
-    breadth-first search in that graph, and all three are kept with the
-    instance; equality and hashing see only the four fields.
+    breadth-first search in that graph and ``covering`` from that graph's
+    adjacency; all four are kept with the instance, and equality and hashing
+    see only the four fields.
     """
 
     points: tuple[Point, ...]
@@ -116,6 +119,14 @@ class StripInstance:
         by more than 1/2 in x.
         """
         return _bfs_levels(self)
+
+    @cached_property
+    def covering(self) -> CoveringSets:
+        """Right-/left-covering sets, read from ``graph``.
+
+        Raises ContractError on a strip that is not narrow.
+        """
+        return _covering_sets(self)
 
 
 def make_instance(
@@ -281,6 +292,56 @@ def outside_source_disk(instance: StripInstance) -> list[int]:
     s = instance.source
     near = instance.graph.adj[s]
     return [i for i in range(instance.n) if i != s and i not in near]
+
+
+@dataclass(frozen=True)
+class CoveringSets:
+    """Right-/left-covering points: adjacent to every farther outside point.
+
+    Point i is right-covering iff every point outside the source disk with a
+    larger x is in ``graph.adj[i]``; left-covering is the mirror image.  With
+    no point outside the source disk every point is in both sets.
+    """
+
+    q_plus: tuple[int, ...]
+    q_minus: tuple[int, ...]
+    outside: tuple[int, ...]  # points outside the source disk
+
+
+def _covering_sets(instance: StripInstance) -> CoveringSets:
+    if not instance.is_narrow():
+        raise ContractError("covering sets are only defined on narrow strips")
+    outside = outside_source_disk(instance)
+    if not outside:
+        everyone = tuple(range(instance.n))
+        return CoveringSets(everyone, everyone, ())
+    return CoveringSets(
+        _covering_side(instance, outside, 1.0),
+        _covering_side(instance, outside, -1.0),
+        tuple(outside),
+    )
+
+
+def _covering_side(
+    instance: StripInstance, outside: list[int], sign: float
+) -> tuple[int, ...]:
+    """Points adjacent to every outside point farther along sign * x.
+
+    Only the farthest outside point a, its neighbours and the points at least
+    as far as a can qualify.  Each is checked against the farther outside
+    points, farthest first, up to the first non-neighbour.
+    """
+    adj = instance.graph.adj
+    xs = [sign * p.x for p in instance.points]
+    far = sorted(outside, key=xs.__getitem__, reverse=True)
+    a = far[0]
+    cand = adj[a].union([a], (i for i, x in enumerate(xs) if x >= xs[a]))
+
+    def covers(i: int) -> bool:
+        farther = takewhile(lambda j: xs[j] > xs[i], far)
+        return all(j in adj[i] for j in farther)
+
+    return tuple(i for i in sorted(cand) if covers(i))
 
 
 def _bfs_levels(instance: StripInstance) -> LevelPartition:

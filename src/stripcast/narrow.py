@@ -10,8 +10,11 @@ The solver checks the three possible structures of an optimum in order:
 * path-like: a shortest path from s to the right-covering set plus a shortest
   path to the left-covering set, sharing at most their second vertex.
 
-Path-like solutions are found by levelling the points backwards from the
-covering sets: a breadth-first search in the instance's unit-disk graph.
+The right-/left-covering sets are the ones the instance keeps
+(``StripInstance.covering``), read from its unit-disk graph.  Path-like
+solutions are found by levelling the points backwards from them: a
+breadth-first search in that graph.  Every adjacency the solver asks about,
+the closed source disk included, is a lookup in the same graph.
 """
 
 from __future__ import annotations
@@ -25,24 +28,13 @@ from .model import (
     InfeasibleError,
     Point,
     StripInstance,
-    build_graph,
     connected_levels,
     core_region,
-    dist2,
     in_rect,
     make_broadcast_set,
     outside_source_disk,
     validate_broadcast,
 )
-
-
-@dataclass(frozen=True)
-class CoveringSets:
-    """Right-/left-covering points: adjacent to every farther outside point."""
-
-    q_plus: tuple[int, ...]
-    q_minus: tuple[int, ...]
-    outside: tuple[int, ...]  # points outside the source disk
 
 
 @dataclass(frozen=True)
@@ -68,81 +60,19 @@ def _require_narrow(instance: StripInstance) -> None:
         raise ContractError("this solver requires a strip of width <= sqrt(3)/2")
 
 
-def compute_covering_sets(instance: StripInstance) -> CoveringSets:
-    """Classify points into right-/left-covering via the three-zone split.
-
-    A point with x within 1/2 of the farthest outside point covers everything
-    farther by the core property; a point more than 1 before it cannot reach
-    it; the half-unit zone between is resolved by an intersection-membership
-    query against the outside points of the leading half-unit zone.
-    """
-    _require_narrow(instance)
-    pts = instance.points
-    outside = outside_source_disk(instance)
-    if not outside:
-        inside = tuple(i for i in range(instance.n))
-        return CoveringSets(inside, inside, ())
-
-    def one_side(sign: int) -> tuple[int, ...]:
-        # sign +1: right-covering (anchor = max x); -1: mirrored.
-        anchor = max(pts[i].x * sign for i in outside)
-        covering = set(i for i in range(instance.n) if pts[i].x * sign >= anchor - 0.5)
-        middle = [
-            i
-            for i in range(instance.n)
-            if anchor - 1.0 <= pts[i].x * sign < anchor - 0.5
-        ]
-        if middle:
-            lead = [i for i in outside if pts[i].x * sign >= anchor - 0.5]
-            mask = geom.intersection_mask(
-                [pts[i] for i in lead], [pts[i] for i in middle]
-            )
-            covering.update(i for i, ok in zip(middle, mask) if ok)
-        return tuple(sorted(covering))
-
-    return CoveringSets(one_side(+1), one_side(-1), tuple(outside))
-
-
-def covering_sets_oracle(instance: StripInstance) -> CoveringSets:
-    """Definitional O(n^2) scan (test oracle for compute_covering_sets)."""
-    pts = instance.points
-    outside = outside_source_disk(instance)
-    if not outside:
-        inside = tuple(i for i in range(instance.n))
-        return CoveringSets(inside, inside, ())
-    q_plus = tuple(
-        i
-        for i in range(instance.n)
-        if all(
-            dist2(pts[i], pts[j]) <= 1.0
-            for j in outside
-            if pts[j].x > pts[i].x
-        )
-    )
-    q_minus = tuple(
-        i
-        for i in range(instance.n)
-        if all(
-            dist2(pts[i], pts[j]) <= 1.0
-            for j in outside
-            if pts[j].x < pts[i].x
-        )
-    )
-    return CoveringSets(q_plus, q_minus, tuple(outside))
-
-
 def find_small(instance: StripInstance) -> BroadcastSet | None:
-    """Solution of size 1 ({s} dominates) or 2 ({s, p} with p covering the rest)."""
-    pts = instance.points
+    """Solution of size 1 ({s} dominates) or 2 ({s, p} with p covering the rest).
+
+    p is the first point of the source disk, in index order, whose
+    neighbourhood holds every outside point.
+    """
     s = instance.source
     outside = outside_source_disk(instance)
     if not outside:
         return make_broadcast_set(instance, [s])
-    outside_set = set(outside)
-    inside = [i for i in range(instance.n) if i not in outside_set]
-    mask = geom.intersection_mask([pts[i] for i in outside], [pts[i] for i in inside])
-    for i, ok in zip(inside, mask):
-        if ok:
+    adj = instance.graph.adj
+    for i in sorted(adj[s] & adj[outside[0]]):
+        if adj[i].issuperset(outside):
             return make_broadcast_set(instance, [s, i])
     return None
 
@@ -189,23 +119,21 @@ def find_bidirectional(instance: StripInstance) -> BroadcastSet | None:
     return None
 
 
-def backward_level_sets(
-    instance: StripInstance,
-    side: str,
-    covering: CoveringSets,
-) -> BackwardLevels:
+def backward_level_sets(instance: StripInstance, side: str) -> BackwardLevels:
     """Level the points backwards from one covering set toward the source disk.
 
-    A multi-source breadth-first search in the unit-disk graph that stops at
-    the first level touching the closed source disk.
+    A multi-source breadth-first search in the unit-disk graph, from the
+    instance's right- (side "+") or left-covering set, that stops at the
+    first level touching the closed source disk.
     """
     _require_narrow(instance)
     if side not in ("+", "-"):
         raise ContractError("side must be '+' or '-'")
+    covering = instance.covering
     first = covering.q_plus if side == "+" else covering.q_minus
     if not first:
         raise ContractError("backward levelling needs a nonempty covering set")
-    adj = build_graph(instance).adj
+    adj = instance.graph.adj
     s = instance.source
     near_source = adj[s]
 
@@ -227,14 +155,11 @@ def walk_backward_path(
     instance: StripInstance, back: BackwardLevels, start: int
 ) -> list[int]:
     """Path from a point of the last backward level down to the covering set."""
-    pts = instance.points
+    adj = instance.graph.adj
     path = [start]
     for depth in range(back.hops - 2, -1, -1):
         cur = path[-1]
-        step = min(
-            i for i in back.levels[depth] if dist2(pts[i], pts[cur]) <= 1.0
-        )
-        path.append(step)
+        path.append(min(i for i in back.levels[depth] if i in adj[cur]))
     return path
 
 
@@ -257,14 +182,18 @@ def solve_narrow_detailed(instance: StripInstance) -> tuple[BroadcastSet, dict]:
         _must_be_valid(instance, bidi)
         return bidi, {"kind": "bidirectional"}
 
-    covering = compute_covering_sets(instance)
+    covering = instance.covering
     pts = instance.points
     s = instance.source
-    sp = instance.source_point
+    near = instance.graph.adj[s]
+
+    def in_source_disk(i: int) -> bool:
+        return i == s or i in near
+
     sides: dict[str, BackwardLevels] = {}
     for side, sign in (("+", 1.0), ("-", -1.0)):
         if any(pts[i].x * sign > 0.0 for i in covering.outside):
-            back = backward_level_sets(instance, side, covering)
+            back = backward_level_sets(instance, side)
             if not back.reached:
                 raise InfeasibleError(
                     f"side {side} cannot be reached from the source disk",
@@ -278,22 +207,20 @@ def solve_narrow_detailed(instance: StripInstance) -> tuple[BroadcastSet, dict]:
         bp, bm = sides["+"], sides["-"]
         last_minus = set(bm.levels[-1])
         shared = [
-            i
-            for i in bp.levels[-1]
-            if i in last_minus and dist2(pts[i], sp) <= 1.0
+            i for i in bp.levels[-1] if i in last_minus and in_source_disk(i)
         ]
         if shared:
             second = min(shared)
             paths["+"] = [s] + walk_backward_path(instance, bp, second)
             paths["-"] = [s] + walk_backward_path(instance, bm, second)
         else:
-            start_p = min(i for i in bp.levels[-1] if dist2(pts[i], sp) <= 1.0)
-            start_m = min(i for i in bm.levels[-1] if dist2(pts[i], sp) <= 1.0)
+            start_p = min(filter(in_source_disk, bp.levels[-1]))
+            start_m = min(filter(in_source_disk, bm.levels[-1]))
             paths["+"] = [s] + walk_backward_path(instance, bp, start_p)
             paths["-"] = [s] + walk_backward_path(instance, bm, start_m)
     else:
         side, back = next(iter(sides.items()))
-        start = min(i for i in back.levels[-1] if dist2(pts[i], sp) <= 1.0)
+        start = min(filter(in_source_disk, back.levels[-1]))
         paths[side] = [s] + walk_backward_path(instance, back, start)
 
     for path in paths.values():

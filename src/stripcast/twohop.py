@@ -68,12 +68,14 @@ def angular_order(instance: StripInstance) -> AngularInstance:
         )
     outside.sort(key=lambda i: (_ccw_angle(s, pts[i]), dist2(pts[i], s), i))
     m = len(outside)
+    adj = instance.graph.adj
     disks = []
     covers = []
-    for c in sorted(instance.graph.adj[instance.source]):
+    for c in sorted(adj[instance.source]):
+        nbrs = adj[c]
         mask = 0
         for pos, q in enumerate(outside):
-            if dist2(pts[c], pts[q]) <= 1.0:
+            if q in nbrs:
                 mask |= 1 << pos
         if mask:
             disks.append(c)

@@ -1,34 +1,11 @@
 import random
 
-import pytest
-
-from stripcast.geom import ZValues, intersection_mask, prefix_suffix_cover
-from stripcast.model import InstanceError, Point, dist2
+from stripcast.geom import ZValues, prefix_suffix_cover
+from stripcast.model import Point, dist2
 
 
 def P(*pairs):
     return [Point(x, y) for x, y in pairs]
-
-
-def test_intersection_empty_centers_rejected():
-    with pytest.raises(InstanceError):
-        intersection_mask([], P((0, 0)))
-
-
-def test_intersection_trivial():
-    assert intersection_mask(P((0, 0), (1, 0)), P((0.5, 0))) == [True]
-    assert intersection_mask(P((0, 0), (2.5, 0)), P((1.2, 0))) == [False]
-
-
-def test_membership_matches_pairwise_oracle():
-    rng = random.Random(17)
-    for trial in range(30):
-        k = 200 if trial == 0 else rng.randrange(1, 51)
-        nq = 200 if trial == 0 else 50
-        centers = P(*[(rng.uniform(-3, 3), rng.uniform(-2, 2)) for _ in range(k)])
-        queries = P(*[(rng.uniform(-4, 4), rng.uniform(-3, 3)) for _ in range(nq)])
-        inter = [all(dist2(c, q) <= 1.0 for c in centers) for q in queries]
-        assert intersection_mask(centers, queries) == inter
 
 
 def test_z_structure_empty():

@@ -2,18 +2,17 @@ import math
 
 import pytest
 
-from stripcast import hopdp
+from stripcast import hopdp, model
 from stripcast.hopdp import (
     _fill_joint,
     _mixed_candidate,
+    _on_side,
     _root_cost,
     _second_point_split,
     _side_tables,
     _two_sided,
     _walk_table,
-    arborescence_is_nice,
     build_level_dag,
-    build_pred_arborescence,
     solve_hop,
 )
 from stripcast.io_cli import gen_random_strip
@@ -21,11 +20,12 @@ from stripcast.model import (
     ContractError,
     InfeasibleError,
     compute_levels,
+    dist2,
     make_broadcast_set,
     make_instance,
     validate_broadcast,
 )
-from stripcast.narrow import compute_covering_sets, solve_narrow
+from stripcast.narrow import solve_narrow
 from stripcast.oracle import brute_min_broadcast
 from stripcast.twohop import solve_two_hop
 from test_wide import _lattice_ulp_strip_corpus
@@ -371,11 +371,10 @@ def test_solve_hop_at_depth_two_is_the_two_hop_set():
         assert got.active == solve_two_hop(inst).active
         dag = build_level_dag(inst)
         left, right = _side_tables(inst, dag)
-        covering = compute_covering_sets(inst)
         others = [
             _two_sided(inst, dag, left, right),
-            _mixed_candidate(inst, right, "+", covering),
-            _mixed_candidate(inst, left, "-", covering),
+            _mixed_candidate(inst, right, "+"),
+            _mixed_candidate(inst, left, "-"),
         ]
         for other in others:
             if other is not None and validate_broadcast(inst, other, hops=2).valid:
@@ -391,17 +390,17 @@ def test_solve_hop_solves_large_depth_two_strip():
     assert validate_broadcast(inst, got, hops=2).valid
 
 
-def test_solve_hop_fragile_lattice_depth_at_most_two():
+def test_solve_hop_fragile_lattice_every_depth():
     mismatches = []
-    seen = {"depth 1": 0, "depth 2": 0, "ulp moved": 0}
+    seen = {"depth 1": 0, "depth 2": 0, "depth >= 3": 0, "ulp moved": 0}
     narrow_widths = (0.5, 0.75, math.sqrt(3) / 2)
     for coords, w in _lattice_ulp_strip_corpus(widths=narrow_widths):
         inst = make_instance(coords, width=w, warn_fragile=False)
         part = compute_levels(inst)
-        if part.unreachable or part.depth not in (1, 2):
+        if part.unreachable or part.depth == 0:
             continue
         h = part.depth
-        seen[f"depth {h}"] += 1
+        seen[f"depth {h}" if h <= 2 else "depth >= 3"] += 1
         seen["ulp moved"] += any(x != 0.25 * round(4 * x) for x, _ in coords)
         want = brute_min_broadcast(inst, hops=h).size
         try:
@@ -412,7 +411,30 @@ def test_solve_hop_fragile_lattice_depth_at_most_two():
         if got.size != want or not validate_broadcast(inst, got, hops=h).valid:
             mismatches.append((coords, w))
     assert mismatches == []
-    assert seen["depth 2"] >= 200 and all(seen.values()), seen
+    assert seen["depth 2"] >= 200 and seen["depth >= 3"] >= 400, seen
+    assert all(seen.values()), seen
+
+
+def test_solve_hop_computes_covering_sets_at_most_once(monkeypatch):
+    # solve_narrow and both mixed candidates share the instance's covering
+    # sets at t = h >= 3; the 2-hop path at t = h = 2 needs none
+    calls = []
+    covering_sets = model._covering_sets
+
+    def counted(inst):
+        calls.append(inst)
+        return covering_sets(inst)
+
+    monkeypatch.setattr(model, "_covering_sets", counted)
+    for seed, inst, h in _deep_random_strips():
+        calls.clear()
+        solve_hop(inst, h)
+        assert len(calls) == 1, seed
+    inst = gen_random_strip(40, 0.86, 3, min_sep=0.05, span=1.5)
+    assert compute_levels(inst).depth == 2
+    calls.clear()
+    solve_hop(inst, 2)
+    assert calls == []
 
 
 def test_two_sided_refusal_reaches_solve_hop():
@@ -521,6 +543,87 @@ def test_active_levels_reachable_tightly():
                     queue.append(v)
         for i in active:
             assert dist[i] == part.level[i]
+
+
+def build_pred_arborescence(instance, active):
+    """Arcs (pred(p), p) of the boundary-exit predecessor construction.
+
+    The construction is per side: a point at level >= 2 takes its predecessor
+    among the same-side active points of the previous level (level-1 points
+    of both signs feed level 2), through the exit point of the outward
+    horizontal ray from p; ties go to the highest y, then the smallest index.
+    Raises ContractError naming the point when no eligible active disk covers
+    it (possible on non-optimal inputs).
+    """
+    part = compute_levels(instance)
+    pts = instance.points
+    act = set(active.active)
+    t = part.depth
+    arcs = []
+    nodes = sorted(act | set(part.levels[t]))
+    for p in nodes:
+        if p == instance.source:
+            continue
+        lvl = part.level[p]
+        if lvl == INF or lvl == 0:
+            continue
+        side = "+" if pts[p].x >= 0.0 else "-"
+        sign = 1.0 if side == "+" else -1.0
+        prev = [
+            u
+            for u in part.levels[int(lvl) - 1]
+            if (u in act or u == instance.source)
+            and (int(lvl) - 1 <= 1 or _on_side(instance, u, side))
+        ]
+        if not any(dist2(pts[u], pts[p]) <= 1.0 for u in prev):
+            raise ContractError(
+                f"predecessor undefined for point {p}: no active disk on level "
+                f"{int(lvl) - 1} covers it"
+            )
+        y = pts[p].y
+        reach_x = pts[p].x * sign
+        grown = True
+        while grown:
+            grown = False
+            for u in prev:
+                dy = pts[u].y - y
+                if abs(dy) > 1.0:
+                    continue
+                g = math.sqrt(max(0.0, 1.0 - dy * dy))
+                lo = pts[u].x * sign - g
+                hi = pts[u].x * sign + g
+                if lo <= reach_x <= hi and hi > reach_x:
+                    reach_x = hi
+                    grown = True
+        owners = []
+        for u in prev:
+            dy = pts[u].y - y
+            if abs(dy) > 1.0:
+                continue
+            g = math.sqrt(max(0.0, 1.0 - dy * dy))
+            if pts[u].x * sign + g == reach_x:
+                owners.append(u)
+        owner = max(owners, key=lambda u: (pts[u].y, -u))
+        arcs.append((owner, p))
+    return arcs
+
+
+def arborescence_is_nice(instance, arcs):
+    """Same-side arcs between the same two levels must preserve y-order."""
+    part = compute_levels(instance)
+    pts = instance.points
+    by_group = {}
+    for u, v in arcs:
+        side = "+" if pts[v].x >= 0.0 else "-"
+        by_group.setdefault((side, part.level[v]), []).append((u, v))
+    for group in by_group.values():
+        for u, v in group:
+            for a, b in group:
+                if u == a:
+                    continue
+                if pts[v].y < pts[b].y and not (pts[u].y < pts[a].y):
+                    return False, ((u, v), (a, b))
+    return True, None
 
 
 def test_pred_arborescence_single_path():

@@ -6,18 +6,18 @@ import pytest
 from stripcast.io_cli import gen_random_strip
 from stripcast.model import (
     ContractError,
+    CoveringSets,
     InfeasibleError,
     build_graph,
     core_region,
     dist2,
     in_rect,
     make_instance,
+    outside_source_disk,
     validate_broadcast,
 )
 from stripcast.narrow import (
     backward_level_sets,
-    compute_covering_sets,
-    covering_sets_oracle,
     find_bidirectional,
     find_small,
     solve_narrow,
@@ -26,6 +26,8 @@ from stripcast.narrow import (
 from stripcast.oracle import brute_min_broadcast
 from test_wide import _lattice_ulp_strip_corpus
 
+NARROW_WIDTHS = (0.5, 0.75, math.sqrt(3) / 2)
+
 
 def chain(k, spacing=1.0, width=0.5):
     return make_instance(
@@ -33,8 +35,43 @@ def chain(k, spacing=1.0, width=0.5):
     )
 
 
+def covering_sets_oracle(instance):
+    """Definitional O(n^2) scan by dist2 (reference for StripInstance.covering)."""
+    pts = instance.points
+    outside = outside_source_disk(instance)
+    if not outside:
+        inside = tuple(i for i in range(instance.n))
+        return CoveringSets(inside, inside, ())
+    q_plus = tuple(
+        i
+        for i in range(instance.n)
+        if all(
+            dist2(pts[i], pts[j]) <= 1.0
+            for j in outside
+            if pts[j].x > pts[i].x
+        )
+    )
+    q_minus = tuple(
+        i
+        for i in range(instance.n)
+        if all(
+            dist2(pts[i], pts[j]) <= 1.0
+            for j in outside
+            if pts[j].x < pts[i].x
+        )
+    )
+    return CoveringSets(q_plus, q_minus, tuple(outside))
+
+
+def narrow_lattice_instances():
+    return [
+        make_instance(coords, width=w, warn_fragile=False)
+        for coords, w in _lattice_ulp_strip_corpus(widths=NARROW_WIDTHS)
+    ]
+
+
 def test_covering_sets_chain():
-    cs = compute_covering_sets(chain(4))
+    cs = chain(4).covering
     assert cs.outside == (2, 3)
     assert set(cs.q_plus) >= {2, 3}
     assert 0 not in cs.q_plus and 1 not in cs.q_plus
@@ -45,27 +82,29 @@ def test_covering_sets_all_inside():
     inst = make_instance(
         [(0.0, 0.25), (0.4, 0.2), (-0.3, 0.1)], width=0.5, warn_fragile=False
     )
-    cs = compute_covering_sets(inst)
+    cs = inst.covering
     assert cs.outside == ()
     assert cs.q_plus == cs.q_minus == (0, 1, 2)
 
 
 def test_covering_sets_match_definitional_scan():
+    # random strips plus the narrow lattice-plus-ulp draws, whose points sit
+    # within an ulp of the half-unit and unit x-gaps
+    corpus = narrow_lattice_instances()
     for seed in range(100):
         n = 4 + seed % 9
         w = (0.3, 0.6, 0.86)[seed % 3]
-        inst = gen_random_strip(n, w, seed + 200, min_sep=0.05)
-        cs = compute_covering_sets(inst)
-        orc = covering_sets_oracle(inst)
-        if cs.outside:
-            assert cs.q_plus == orc.q_plus
-            assert cs.q_minus == orc.q_minus
+        corpus.append(gen_random_strip(n, w, seed + 200, min_sep=0.05))
+    mismatches = [
+        inst.points for inst in corpus if inst.covering != covering_sets_oracle(inst)
+    ]
+    assert mismatches == []
 
 
 def test_covering_rejects_wide():
     inst = make_instance([(0.0, 0.3)], width=1.2)
     with pytest.raises(ContractError):
-        compute_covering_sets(inst)
+        inst.covering
 
 
 def test_find_small_single_point():
@@ -168,8 +207,7 @@ def test_bidirectional_agrees_with_pair_scan():
 
 def test_backward_levels_chain():
     inst = chain(4)
-    cs = compute_covering_sets(inst)
-    back = backward_level_sets(inst, "+", cs)
+    back = backward_level_sets(inst, "+")
     assert back.levels[0] == (2, 3)
     assert back.levels[1] == (1,)
     assert back.reached and back.hops == 2
@@ -180,9 +218,8 @@ def test_backward_levels_immediate_stop():
     inst = make_instance(
         [(0.0, 0.25), (0.9, 0.25), (1.7, 0.25)], width=0.5, warn_fragile=False
     )
-    cs = compute_covering_sets(inst)
-    assert 1 in cs.q_plus
-    back = backward_level_sets(inst, "+", cs)
+    assert 1 in inst.covering.q_plus
+    back = backward_level_sets(inst, "+")
     assert back.hops == 1 and back.reached
 
 
@@ -190,8 +227,7 @@ def test_backward_levels_disconnected_side():
     inst = make_instance(
         [(0.0, 0.25), (5.0, 0.25)], width=0.5, warn_fragile=False
     )
-    cs = compute_covering_sets(inst)
-    back = backward_level_sets(inst, "+", cs)
+    back = backward_level_sets(inst, "+")
     assert not back.reached
 
 
@@ -218,11 +254,7 @@ def _bfs_backward_levels(inst, first):
 
 
 def test_backward_levels_are_graph_bfs():
-    narrow_widths = (0.5, 0.75, math.sqrt(3) / 2)
-    corpus = [
-        make_instance(coords, width=w, warn_fragile=False)
-        for coords, w in _lattice_ulp_strip_corpus(widths=narrow_widths)
-    ]
+    corpus = narrow_lattice_instances()
     for seed in range(300):
         w = (0.3, 0.6, 0.86)[seed % 3]
         span = 1.0 + seed % 3
@@ -232,12 +264,12 @@ def test_backward_levels_are_graph_bfs():
     mismatches = []
     seen = {"reached": 0, "unreached": 0, "levels >= 3": 0}
     for inst in corpus:
-        cs = compute_covering_sets(inst)
+        cs = inst.covering
         for side, sign, first in (("+", 1.0, cs.q_plus), ("-", -1.0, cs.q_minus)):
             if not any(inst.points[i].x * sign > 0.0 for i in cs.outside):
                 continue
             want = _bfs_backward_levels(inst, first)
-            back = backward_level_sets(inst, side, cs)
+            back = backward_level_sets(inst, side)
             if (back.levels, back.reached) != want:
                 mismatches.append((inst.points, side))
             seen["reached" if want[1] else "unreached"] += 1
@@ -283,6 +315,28 @@ def test_solve_narrow_matches_oracle():
         assert got.size == want.size
         report = validate_broadcast(inst, got)
         assert report.is_dominating and report.is_connected
+
+
+def test_solve_narrow_fragile_lattice_matches_oracle():
+    # the narrow lattice-plus-ulp draws: every connected one is solved
+    # optimally; reading inst.levels on every draw shows that the levels'
+    # overlap check raises ContractError on none of them
+    mismatches = []
+    connected = 0
+    for inst in narrow_lattice_instances():
+        if inst.levels.unreachable:
+            continue
+        connected += 1
+        want = brute_min_broadcast(inst).size
+        try:
+            got = solve_narrow(inst)
+        except InfeasibleError:
+            mismatches.append(inst.points)
+            continue
+        if got.size != want or not validate_broadcast(inst, got).valid:
+            mismatches.append(inst.points)
+    assert mismatches == []
+    assert connected >= 800
 
 
 def test_solve_narrow_shared_second_vertex_shape():
