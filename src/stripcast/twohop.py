@@ -7,6 +7,10 @@ that in an optimal solution each disk's contribution to the boundary of the
 covered union is at most two angular runs, which makes a circular-interval
 dynamic program over "minimum disks to cover the arc [i, j]" exact.
 
+Only non-dominated disks are candidates, as any cover can swap a disk for one
+covering a superset of its outside points.  The table holds costs only; the
+traceback recomputes each of its cells' winning split.
+
 Works on planar and strip instances alike; no width restriction.
 """
 
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .model import (
@@ -35,10 +40,12 @@ class AngularInstance:
     """Outside points in counterclockwise order plus the candidate disks.
 
     ``order[i]`` is the input index of the i-th outside point; ``disks`` are
-    input indices of candidate centers (inside the source disk, covering at
-    least one outside point); ``disks_at[i]`` lists positions into ``disks``
-    whose disk covers outside point i; ``covers[d]`` is the coverage bitmask
-    of candidate d over outside positions.
+    input indices of candidate centers, in increasing order: the points of
+    the source disk whose outside points are not a subset of another such
+    point's (of equal sets the lowest index stays), since any cover can swap
+    a dominated disk for the one containing it; ``disks_at[i]`` lists
+    positions into ``disks`` whose disk covers outside point i; ``covers[d]``
+    is the coverage bitmask of candidate d over outside positions.
     """
 
     instance: StripInstance
@@ -69,17 +76,18 @@ def angular_order(instance: StripInstance) -> AngularInstance:
     outside.sort(key=lambda i: (_ccw_angle(s, pts[i]), dist2(pts[i], s), i))
     m = len(outside)
     adj = instance.graph.adj
-    disks = []
-    covers = []
-    for c in sorted(adj[instance.source]):
-        nbrs = adj[c]
-        mask = 0
-        for pos, q in enumerate(outside):
-            if q in nbrs:
-                mask |= 1 << pos
-        if mask:
-            disks.append(c)
-            covers.append(mask)
+    centers = sorted(adj[instance.source])
+    bit = {q: 1 << pos for pos, q in enumerate(outside)}
+    masks = [sum(bit[q] for q in adj[c] if q in bit) for c in centers]
+    # widest first, lower index first among equals: a mask contained in a
+    # dropped one is contained in the kept mask that dropped it
+    kept: list[int] = []
+    for k in sorted(range(len(centers)), key=lambda k: (-masks[k].bit_count(), k)):
+        if masks[k] and all(masks[k] | masks[e] != masks[e] for e in kept):
+            kept.append(k)
+    kept.sort()
+    disks = [centers[k] for k in kept]
+    covers = [masks[k] for k in kept]
     disks_at = []
     for pos in range(m):
         at = tuple(d for d in range(len(disks)) if covers[d] >> pos & 1)
@@ -134,23 +142,21 @@ def _runs_after_prefix(
 
 @dataclass
 class CoverTable:
-    """Circular-interval cover costs with witness choices.
+    """Circular-interval cover costs.
 
     ``values[length][start]`` is the fewest disks covering the ``length``
-    positions from ``start`` on (row 0 is all zeros); ``choice[(start,
-    length)]`` is the split that attains it.
+    positions from ``start`` on (row 0 is all zeros).  Per start i, the
+    farthest-reaching disk's covered prefix ends just before ``next1[i]`` and
+    ``prefix_disk[i]`` is the smallest such disk; ``splits[i]`` holds each
+    (disk, later covered run) pair as ``(run start offset, left length, left
+    start, run end offset + 1, right start, disk)``, in the fill's order.
     """
 
     ai: AngularInstance
     values: list[list[int]]
-    choice: dict[tuple[int, int], tuple]
-    next1: dict[int, int]
-    nextd: dict[tuple[int, int], int]
-
-    def lookup(self, start: int, length: int) -> int:
-        if length <= 0:
-            return 0
-        return self.values[length][start]
+    next1: list[int]
+    prefix_disk: list[int]
+    splits: list[list[tuple[int, int, int, int, int, int]]]
 
 
 def cover_dp(ai: AngularInstance) -> CoverTable:
@@ -160,80 +166,85 @@ def cover_dp(ai: AngularInstance) -> CoverTable:
     reaching farthest from i plus the rest, or by a disk d covering i whose
     later covered run splits the rest into a left and a right part.  Each
     disk's runs are read once per start; the O(m^2) cells then only walk
-    their start's (disk, run) pairs.
+    their start's (disk, run) pairs, sorted by run start, up to the cell's end.
     """
     m = ai.m
-    # per start, hoisted out of the length loop: every disk's reach (its
-    # covered prefix), the smallest disk reaching farthest, and the disks
-    # with runs after the prefix
-    nextd = {}
-    next1 = {}
-    reach = []
+    next1 = []
     prefix_disk = []
-    rows = []
+    splits = []
     for i in range(m):
-        reach_i = []
+        reach = []
         row = []
         for d in ai.disks_at[i]:
             offd, runs = _runs_after_prefix(ai, i, d)
             nxd = _next_after(ai, i, offd)
-            nextd[(i, d)] = nxd
-            reach_i.append((offd, d))
-            if runs:
-                row.append((offd, d, nxd, runs))
-        off1 = max(offd for offd, _ in reach_i)
-        next1[i] = (i + off1) % m
-        prefix_disk.append(min(d for offd, d in reach_i if offd == off1))
-        reach.append(reach_i)
-        rows.append(row)
+            reach.append((offd, d))
+            # offd < start_off, so every left part is nonempty
+            for start_off, end_off in runs:
+                right = (i + end_off + 1) % m
+                row.append((start_off, start_off - offd, nxd, end_off + 1, right, d))
+        off1 = max(offd for offd, _ in reach)
+        next1.append((i + off1) % m)
+        prefix_disk.append(min(d for offd, d in reach if offd == off1))
+        row.sort(key=lambda pair: pair[0])
+        splits.append(row)
 
     values = [[0] * m]
-    choice: dict[tuple[int, int], tuple] = {}
     for length in range(1, m):
-        cur = [0] * m
+        cur = [1] * m
         for i in range(m):
             nx = next1[i]
             off1 = (nx - i) % m
             if off1 >= length:
-                cur[i] = 1
-                choice[(i, length)] = (
-                    "one",
-                    min(d for offd, d in reach[i] if offd >= length),
-                )
                 continue
-            best = 1 + values[length - off1][nx]
-            pick = ("prefix", prefix_disk[i], (nx, length - off1))
-            # offd <= off1 < length here, so every row's left part is nonempty
-            for offd, d, nxd, runs in rows[i]:
-                for start_off, end_off in runs:
-                    if start_off >= length:
-                        break
-                    offb = min(end_off, length - 1) + 1
-                    b = (i + offb) % m
-                    left_len = start_off - offd
-                    cand = 1 + values[left_len][nxd] + values[length - offb][b]
-                    if cand < best:
-                        best = cand
-                        pick = ("pair", d, (nxd, left_len), (b, length - offb))
-            cur[i] = best
-            choice[(i, length)] = pick
+            best = values[length - off1][nx]
+            for start_off, left_len, nxd, offb, b, _ in splits[i]:
+                if start_off >= length:
+                    break
+                cand = values[left_len][nxd]
+                if offb < length:
+                    cand += values[length - offb][b]
+                if cand < best:
+                    best = cand
+            cur[i] = 1 + best
         values.append(cur)
-    return CoverTable(ai, values, choice, next1, nextd)
+    return CoverTable(ai, values, next1, prefix_disk, splits)
 
 
 def _collect_disks(table: CoverTable, start: int, length: int, out: set[int]) -> None:
+    """Add the disks of the cell's cover to ``out``, recomputing its winning
+    split in the fill's order, so ties go to the first minimiser."""
     if length <= 0:
         return
-    pick = table.choice[(start, length)]
-    if pick[0] == "one":
-        out.add(pick[1])
-    elif pick[0] == "prefix":
-        out.add(pick[1])
-        _collect_disks(table, *pick[2], out)
-    else:
-        out.add(pick[1])
-        _collect_disks(table, *pick[2], out)
-        _collect_disks(table, *pick[3], out)
+    ai, values = table.ai, table.values
+    nx = table.next1[start]
+    off1 = (nx - start) % ai.m
+    if off1 >= length:
+        at = ai.disks_at[start]
+        out.add(min(d for d in at if _rotated_prefix(ai, start, d)[1] >= length))
+        return
+    target = values[length][start] - 1
+    if values[length - off1][nx] == target:
+        out.add(table.prefix_disk[start])
+        _collect_disks(table, nx, length - off1, out)
+        return
+    for start_off, left_len, nxd, offb, b, d in table.splits[start]:
+        right_len = max(length - offb, 0)
+        if start_off < length and values[left_len][nxd] + values[right_len][b] == target:
+            out.add(d)
+            _collect_disks(table, nxd, left_len, out)
+            _collect_disks(table, b, right_len, out)
+            return
+
+
+def _best_split(table: CoverTable) -> tuple[int, int]:
+    """The first ``(start, length)`` minimising the cost of [start, start +
+    length) plus that of the rest of the circle."""
+    v, m = table.values, table.ai.m
+    # row k plus row m - k rotated by k: the totals of every split with length k
+    totals = [list(map(add, v[k], v[m - k][k:] + v[m - k][:k])) for k in range(1, m)]
+    best = min(map(min, totals))
+    return min((row.index(best), k) for k, row in enumerate(totals, 1) if best in row)
 
 
 def solve_two_hop(instance: StripInstance) -> BroadcastSet:
@@ -245,21 +256,10 @@ def solve_two_hop(instance: StripInstance) -> BroadcastSet:
     s = instance.source
     ai = angular_order(instance)
     table = cover_dp(ai)
-    m = ai.m
-    if m == 1:  # single outside point but no size-2 solution cannot happen
-        raise AssertionError("unreachable: one outside point implies a size-2 solution")
-    best = None
-    split = None
-    for i in range(m):
-        for length in range(1, m):
-            total = table.lookup(i, length) + table.lookup((i + length) % m, m - length)
-            if best is None or total < best:
-                best = total
-                split = (i, length)
+    i, length = _best_split(table)
     disks: set[int] = set()
-    i, length = split
     _collect_disks(table, i, length, disks)
-    _collect_disks(table, (i + length) % m, m - length, disks)
+    _collect_disks(table, (i + length) % ai.m, ai.m - length, disks)
     active = [s] + [ai.disks[d] for d in sorted(disks)]
     result = make_broadcast_set(instance, active)
     report = validate_broadcast(instance, result, hops=2)

@@ -13,6 +13,8 @@ from stripcast.model import (
 )
 from stripcast.oracle import brute_min_broadcast
 from stripcast.twohop import (
+    AngularInstance,
+    _best_split,
     _collect_disks,
     _next_after,
     _rotated_prefix,
@@ -62,6 +64,29 @@ def test_angular_order_infeasible_witness():
     assert err.value.witness == (1,)
 
 
+def test_angular_order_drops_dominated_disks():
+    inst = planar(
+        [
+            (0, 0),
+            (1.5, 0),  # outside: positions 0 and 1 ...
+            (1.5, 0.4),
+            (-1.5, 0),  # ... and 2
+            (0.6, -0.1),  # covers position 0 only: inside disk 5's set
+            (0.8, 0.2),  # covers positions 0 and 1
+            (-0.8, 0),  # covers position 2 ...
+            (-0.7, 0.1),  # ... exactly as disk 6 does
+        ]
+    )
+    ai = angular_order(inst)
+    assert ai.order == (1, 2, 3)
+    assert ai.disks == (5, 6)
+    assert ai.covers == (0b011, 0b100)
+    assert ai.disks_at == ((0,), (0,), (1,))
+    family = unpruned(ai)
+    assert family.disks == (4, 5, 6, 7)
+    assert family.covers == (0b001, 0b011, 0b100, 0b100)
+
+
 def test_angular_order_matches_sort_oracle():
     rng = random.Random(9)
     for _ in range(50):
@@ -96,6 +121,11 @@ def fan_instance():
     return planar(pts)
 
 
+def lookup(table, start, length):
+    """The table's cost of the ``length`` positions from ``start``; 0 when empty."""
+    return table.values[length][start] if length > 0 else 0
+
+
 def next_for_disk(ai, i, d):
     """First position from i past disk d's covered prefix."""
     return _next_after(ai, i, _rotated_prefix(ai, i, d)[1])
@@ -123,7 +153,17 @@ def test_compute_next_per_disk():
     d1 = ai.disks.index(7)
     assert next_for_disk(ai, 2, d1) == 3
     # the farthest reach over every disk covering position 0
-    assert cover_dp(ai).next1[0] == 2
+    table = cover_dp(ai)
+    assert table.next1[0] == 2
+    assert table.prefix_disk[0] == d0
+    # the traceback recomputes the one-disk cell [0, 2), and the cell [0, 3)
+    # as disk 6's prefix plus the one-disk cell [2, 3)
+    out = set()
+    _collect_disks(table, 0, 2, out)
+    assert out == {d0}
+    out = set()
+    _collect_disks(table, 0, 3, out)
+    assert out == {d0, d1}
 
 
 def test_compute_next_single_coverage_wraps():
@@ -209,6 +249,118 @@ def brute_cover(ai, i, length):
     return None
 
 
+def unpruned(ai):
+    """The same outside order with every source-disk disk that covers an
+    outside point as a candidate, dominated or not."""
+    inst = ai.instance
+    adj = inst.graph.adj
+    disks, covers = [], []
+    for c in sorted(adj[inst.source]):
+        mask = sum(1 << pos for pos, q in enumerate(ai.order) if q in adj[c])
+        if mask:
+            disks.append(c)
+            covers.append(mask)
+    disks_at = tuple(
+        tuple(d for d in range(len(disks)) if covers[d] >> pos & 1)
+        for pos in range(ai.m)
+    )
+    return AngularInstance(inst, ai.order, tuple(disks), disks_at, tuple(covers))
+
+
+def reference_cover_values(ai):
+    """The cover table's costs by the plain loop, the reference cover_dp's
+    fill must reproduce: a dict of next positions, each start's pairs walked
+    disk by disk, and one clamped right part per pair."""
+    m = ai.m
+    next1 = {}
+    rows = []
+    for i in range(m):
+        reach_i = []
+        row = []
+        for d in ai.disks_at[i]:
+            offd, runs = _runs_after_prefix(ai, i, d)
+            nxd = _next_after(ai, i, offd)
+            reach_i.append(offd)
+            if runs:
+                row.append((offd, nxd, runs))
+        next1[i] = (i + max(reach_i)) % m
+        rows.append(row)
+
+    values = [[0] * m]
+    for length in range(1, m):
+        cur = [0] * m
+        for i in range(m):
+            nx = next1[i]
+            off1 = (nx - i) % m
+            if off1 >= length:
+                cur[i] = 1
+                continue
+            best = 1 + values[length - off1][nx]
+            for offd, nxd, runs in rows[i]:
+                for start_off, end_off in runs:
+                    if start_off >= length:
+                        break
+                    offb = min(end_off, length - 1) + 1
+                    b = (i + offb) % m
+                    left_len = start_off - offd
+                    cand = 1 + values[left_len][nxd] + values[length - offb][b]
+                    best = min(best, cand)
+            cur[i] = best
+        values.append(cur)
+    return values
+
+
+def test_dominated_disks_keep_interval_costs():
+    # the costs-only fill over the non-dominated disks gives the reference
+    # fill's table over every candidate disk, cell for cell
+    checked = 0
+    dropped = 0
+    trial = 0
+    while checked < 6:
+        inst = gen_planar(60 + 10 * (trial % 5), 610_000 + trial)
+        trial += 1
+        ai = angular_order(inst)
+        family = unpruned(ai)
+        full = (1 << ai.m) - 1
+        if any(c == full for c in family.covers):
+            continue
+        checked += 1
+        for a, ca in enumerate(ai.covers):
+            for b, cb in enumerate(ai.covers):
+                assert a == b or ca | cb != cb
+        dropped += len(family.disks) - len(ai.disks)
+        assert cover_dp(ai).values == reference_cover_values(family)
+    assert dropped > 0
+
+
+def loop_split(table):
+    """The first (start, length) minimising the two-interval total, by the
+    O(m^2) loop of lookups."""
+    m = table.ai.m
+    best = split = None
+    for i in range(m):
+        for length in range(1, m):
+            total = lookup(table, i, length) + lookup(table, (i + length) % m, m - length)
+            if best is None or total < best:
+                best, split = total, (i, length)
+    return split
+
+
+def test_best_split_matches_loop():
+    checked = 0
+    trial = 0
+    while checked < 40:
+        inst = gen_planar(6 + trial % 40, 620_000 + trial)
+        trial += 1
+        ai = angular_order(inst)
+        full = (1 << ai.m) - 1
+        if ai.m < 2 or any(c == full for c in ai.covers):
+            continue
+        checked += 1
+        table = cover_dp(ai)
+        assert _best_split(table) == loop_split(table)
+
+
 def test_cover_dp_matches_exhaustive_cover():
     checked = 0
     trial = 0
@@ -224,7 +376,7 @@ def test_cover_dp_matches_exhaustive_cover():
         table = cover_dp(ai)
         for i in range(m):
             for length in range(1, m):
-                assert table.lookup(i, length) == brute_cover(ai, i, length)
+                assert lookup(table, i, length) == brute_cover(ai, i, length)
 
 
 def reevaluate(table, i, length):
@@ -236,9 +388,9 @@ def reevaluate(table, i, length):
     off = (nx - i) % m
     if off >= length:
         return 1
-    best = 1 + table.lookup(nx, length - off)
+    best = 1 + lookup(table, nx, length - off)
     for d in ai.disks_at[i]:
-        nxd = table.nextd[(i, d)]
+        nxd = next_for_disk(ai, i, d)
         offd = (nxd - i) % m
         if offd >= length:
             best = min(best, 1)
@@ -248,8 +400,8 @@ def reevaluate(table, i, length):
             offb = (b - i) % m
             cand = (
                 1
-                + table.lookup(nxd, offa - offd + 1)
-                + table.lookup(b, length - offb)
+                + lookup(table, nxd, offa - offd + 1)
+                + lookup(table, b, length - offb)
             )
             best = min(best, cand)
     return best
@@ -271,7 +423,7 @@ def test_cover_dp_self_consistent():
         table = cover_dp(ai)
         for i in range(m):
             for length in range(1, m):
-                assert table.lookup(i, length) == reevaluate(table, i, length)
+                assert lookup(table, i, length) == reevaluate(table, i, length)
 
 
 def test_cover_dp_recurrence_and_witnesses_at_benchmark_scale():
@@ -292,9 +444,12 @@ def test_cover_dp_recurrence_and_witnesses_at_benchmark_scale():
         table = cover_dp(ai)
         for i in range(m):
             for length in range(1, m):
-                value = table.lookup(i, length)
+                value = lookup(table, i, length)
                 assert value == reevaluate(table, i, length)
-                split_cells += table.choice[(i, length)][0] == "pair"
+                # the traceback takes a split only where it beats the prefix
+                nx = table.next1[i]
+                off = (nx - i) % m
+                split_cells += off < length and value < 1 + lookup(table, nx, length - off)
                 disks = set()
                 _collect_disks(table, i, length, disks)
                 assert len(disks) <= value
@@ -310,8 +465,8 @@ def test_cover_dp_single_disk_intervals():
     inst = fan_instance()
     ai = angular_order(inst)
     table = cover_dp(ai)
-    assert table.lookup(0, 2) == 1  # disk 6 covers positions 0..1
-    assert table.lookup(0, 3) == 2
+    assert lookup(table, 0, 2) == 1  # disk 6 covers positions 0..1
+    assert lookup(table, 0, 3) == 2
 
 
 def test_solve_all_inside():
