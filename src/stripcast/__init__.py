@@ -19,7 +19,6 @@ from .model import (
     ValidationReport,
     build_graph,
     compute_levels,
-    core_region,
     make_broadcast_set,
     make_instance,
     validate_broadcast,
@@ -46,7 +45,6 @@ __all__ = [
     "brute_min_cds",
     "build_graph",
     "compute_levels",
-    "core_region",
     "make_broadcast_set",
     "make_instance",
     "mu",

@@ -19,9 +19,7 @@ from .model import (
     StripInstance,
     build_graph,
     compute_levels,
-    core_region,
     dist2,
-    in_rect,
     make_instance,
     validate_broadcast,
 )
@@ -132,10 +130,10 @@ def criterion_structure():
         elif kind == "bidirectional":
             if got.size != 3:
                 return False, f"seed {s}: bidirectional size {got.size}"
-            core = core_region(inst, inst.source)
+            near = inst.graph.adj[inst.source]
             centers = [i for i in got.active if i != inst.source]
-            if not all(in_rect(core, inst.points[i]) for i in centers):
-                return False, f"seed {s}: bidirectional center outside the core"
+            if not all(i in near for i in centers):
+                return False, f"seed {s}: bidirectional center not next to the source"
         else:
             graph = build_graph(inst)
             covering = inst.covering

@@ -3,11 +3,12 @@
 With t the number of hop levels: t > h is infeasible, t < h reduces to the
 unbounded solver, and t = h splits by depth.  At t = h <= 2 the problem is
 the 2-hop broadcast problem, which the planar 2-hop solver answers exactly.
-At t = h >= 3 the answer is the minimum over three candidate structures: a
-path-like solution, a mixed solution (path on one side, arborescence on the
-other, possibly sharing the second vertex), and a two-sided arborescence.
-No 2-hop set exists there: a level-3 point lies outside every disk centered
-in the source disk.
+At t = h >= 3 no 2-hop set exists: a level-3 point lies outside every disk
+centered in the source disk.  There the unbounded (narrow) optimum is
+returned whenever it meets the bound, as no h-hop set can be smaller.
+Otherwise the answer is the minimum over two candidate structures: a mixed
+solution (path on one side, arborescence on the other, possibly sharing the
+second vertex) and a two-sided arborescence.
 
 Arborescences live in the level DAG (edges between consecutive levels,
 oriented upward).  The one-sided table M(p, [i, j]) is the minimum number of
@@ -229,36 +230,23 @@ class TwoSidedTable:
         return self.values[self.left_ids[(i, j)]][self.right_ids[(k, l)]]
 
 
-def _on_side(instance: StripInstance, i: int, side: str) -> bool:
-    x = instance.points[i].x
-    return x >= 0.0 if side == "+" else x < 0.0
-
-
-def _side_vertices(
-    instance: StripInstance, part: LevelPartition, side: str
-) -> frozenset[int]:
-    """Source, all of level 1, and the side's points of levels >= 2."""
-    base = {instance.source}
-    if len(part.levels) > 1:
-        base.update(part.levels[1])
-    for lv in part.levels[2:]:
-        base.update(i for i in lv if _on_side(instance, i, side))
-    return frozenset(base)
-
-
 def _side_tables(
     instance: StripInstance, dag: LevelDag
 ) -> tuple[OneSidedTable, OneSidedTable]:
+    """Left and right tables, over the x < 0 and x >= 0 parts of the levels.
+
+    A side's vertices are the source, all of level 1 and the side's points of
+    levels >= 2; its terminals are the side's part of the last level.
+    """
     part = dag.part
-    t = part.depth
-    tminus = _sorted_terminals(
-        instance, (q for q in part.levels[t] if _on_side(instance, q, "-"))
+    left, right = (
+        _fill_table(
+            dag,
+            frozenset({instance.source}.union(*part.levels[1:2], *side[2:])),
+            _sorted_terminals(instance, side[part.depth]),
+        )
+        for side in (part.minus, part.plus)
     )
-    tplus = _sorted_terminals(
-        instance, (q for q in part.levels[t] if _on_side(instance, q, "+"))
-    )
-    left = _fill_table(dag, _side_vertices(instance, part, "-"), tminus)
-    right = _fill_table(dag, _side_vertices(instance, part, "+"), tplus)
     return left, right
 
 
@@ -450,6 +438,12 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
     if t <= 2:
         return twohop_mod.solve_two_hop(instance)
 
+    # the h-hop optimum is never below the unbounded one, so an unbounded
+    # optimum that meets the bound is optimal here too
+    unbounded = narrow_mod.solve_narrow(instance)
+    if validate_broadcast(instance, unbounded, hops=h).valid:
+        return unbounded
+
     candidates: list[BroadcastSet] = []
 
     def consider(result: BroadcastSet | None) -> None:
@@ -458,10 +452,6 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
         ).valid:
             candidates.append(result)
 
-    try:
-        consider(narrow_mod.solve_narrow(instance))
-    except InfeasibleError:
-        pass
     # one DAG and one pair of side tables serve the mixed and two-sided
     # candidates alike
     dag = build_level_dag(instance)

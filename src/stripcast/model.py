@@ -496,20 +496,3 @@ def validate_broadcast(
     hops_ok = None if bound is None else max_hops <= bound
     witnesses = tuple(uncovered + stranded)
     return ValidationReport(is_dominating, is_connected, max_hops, hops_ok, witnesses)
-
-
-Rect = tuple[float, float, float, float]  # (x0, x1, y0, y1)
-
-
-def core_region(instance: StripInstance, p: Point | int) -> Rect:
-    """Full-width rectangle [x-1/2, x+1/2] x [0, w]; inside delta(p) when narrow."""
-    if instance.width is None or instance.width > NARROW_LIMIT:
-        raise ContractError("core regions are only defined on narrow strips")
-    if isinstance(p, int):
-        p = instance.points[p]
-    return (p.x - 0.5, p.x + 0.5, 0.0, instance.width)
-
-
-def in_rect(rect: Rect, q: Point) -> bool:
-    x0, x1, y0, y1 = rect
-    return x0 <= q.x <= x1 and y0 <= q.y <= y1

@@ -4,9 +4,8 @@ The solver checks the three possible structures of an optimum in order:
 
 * small: {s} alone, or {s, p} with one disk covering everything outside the
   source disk;
-* bidirectional: {s, p, p'} with both extra centers inside the source core,
-  one covering a y-prefix of each side's outside points and the other the
-  complementary suffixes;
+* bidirectional: a star {s, p, p'} with both extra centers in the source
+  disk, whose neighbourhoods together hold every outside point;
 * path-like: a shortest path from s to the right-covering set plus a shortest
   path to the left-covering set, sharing at most their second vertex.
 
@@ -21,16 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import geom
 from .model import (
     BroadcastSet,
     ContractError,
     InfeasibleError,
-    Point,
     StripInstance,
     connected_levels,
-    core_region,
-    in_rect,
     make_broadcast_set,
     outside_source_disk,
     validate_broadcast,
@@ -78,44 +73,26 @@ def find_small(instance: StripInstance) -> BroadcastSet | None:
 
 
 def find_bidirectional(instance: StripInstance) -> BroadcastSet | None:
-    """Size-3 solution {s, p, p'} with both centers in the source core.
+    """Size-3 star {s, p, p'}: p, p' in the source disk cover every outside point.
 
-    p must cover a y-prefix of each side's outside points and p' the
-    complementary suffixes.  The coverage numbers of every core point come
-    from the exact prefix/suffix scan; the reported pair is the first
-    feasible pair in index order.
+    Checked on the unit-disk graph by definition.  A star dominates only the
+    points within two hops of s, so the outside points are hop level 2.  For
+    each p in index order, p' must cover the outside points p misses, so only
+    the common neighbours of s and one such point are tried; the first such
+    star is reported.
     """
     _require_narrow(instance)
-    pts = instance.points
-    outside = outside_source_disk(instance)
-    if not outside:
+    part = instance.levels
+    if part.depth != 2 or part.unreachable:
         return None
-    core = core_region(instance, instance.source)
-    cand = [i for i in range(instance.n) if in_rect(core, pts[i])]
-    if len(cand) < 2:
-        return None
-
-    def side_points(sign: int) -> list[Point]:
-        idx = [i for i in outside if pts[i].x * sign > 0.0]
-        idx.sort(key=lambda i: (pts[i].y, i))
-        return [pts[i] for i in idx]
-
-    left = side_points(-1)
-    right = side_points(+1)
-    zvals = {}
-    for i in cand:
-        zl = geom.prefix_suffix_cover(left, pts[i])
-        zr = geom.prefix_suffix_cover(right, pts[i])
-        zvals[i] = (zl.z_le, zl.z_gt, zr.z_le, zr.z_gt)
-
-    def pair_ok(a: int, b: int) -> bool:
-        # a takes the prefixes, b the suffixes
-        return zvals[a][0] >= zvals[b][1] and zvals[a][2] >= zvals[b][3]
-
-    for a in cand:
-        for b in cand:
-            if a < b and (pair_ok(a, b) or pair_ok(b, a)):
-                return make_broadcast_set(instance, [instance.source, a, b])
+    outside = set(part.levels[2])
+    adj = instance.graph.adj
+    s = instance.source
+    for a in sorted(adj[s]):
+        rest = outside - adj[a]
+        for b in sorted(adj[s] & adj[min(rest)] if rest else adj[s]):
+            if b != a and adj[b] >= rest:
+                return make_broadcast_set(instance, [s, a, b])
     return None
 
 

@@ -6,7 +6,6 @@ from stripcast import hopdp, model
 from stripcast.hopdp import (
     _fill_joint,
     _mixed_candidate,
-    _on_side,
     _root_cost,
     _second_point_split,
     _side_tables,
@@ -15,7 +14,7 @@ from stripcast.hopdp import (
     build_level_dag,
     solve_hop,
 )
-from stripcast.io_cli import gen_random_strip
+from stripcast.io_cli import gen_bundle, gen_random_strip
 from stripcast.model import (
     ContractError,
     InfeasibleError,
@@ -438,12 +437,24 @@ def test_solve_hop_computes_covering_sets_at_most_once(monkeypatch):
 
 
 def test_two_sided_refusal_reaches_solve_hop():
-    # the joint table is refused above 400 points, after the side tables
-    inst = gen_random_strip(401, 0.3, 5, min_sep=0.01, span=25)
+    # the joint table is refused above 400 points, after the side tables; on
+    # a bundle the narrow set breaks the hop bound, so the DP must run
+    inst = gen_bundle(2, 101)
     part = compute_levels(inst)
     assert not part.unreachable and part.depth >= 3
-    with pytest.raises(ContractError, match="refuses n=401 > 400"):
+    assert not validate_broadcast(inst, solve_narrow(inst), hops=part.depth).valid
+    with pytest.raises(ContractError, match="refuses n=403 > 400"):
         solve_hop(inst, part.depth)
+
+
+def test_narrow_set_within_the_bound_is_returned_before_the_dp():
+    # n=500 is above the two-sided DP's limit; the narrow set meets the bound
+    inst = gen_random_strip(500, 0.6, 70000, min_sep=0.05, span=20)
+    part = compute_levels(inst)
+    assert not part.unreachable and part.depth >= 3
+    got = solve_hop(inst, part.depth)
+    assert got == solve_narrow(inst)
+    assert validate_broadcast(inst, got, hops=part.depth).valid
 
 
 def test_solve_hop_dispatch_bounds():
@@ -569,11 +580,12 @@ def build_pred_arborescence(instance, active):
             continue
         side = "+" if pts[p].x >= 0.0 else "-"
         sign = 1.0 if side == "+" else -1.0
+        side_levels = part.plus if side == "+" else part.minus
         prev = [
             u
             for u in part.levels[int(lvl) - 1]
             if (u in act or u == instance.source)
-            and (int(lvl) - 1 <= 1 or _on_side(instance, u, side))
+            and (int(lvl) - 1 <= 1 or u in side_levels[int(lvl) - 1])
         ]
         if not any(dist2(pts[u], pts[p]) <= 1.0 for u in prev):
             raise ContractError(

@@ -9,15 +9,12 @@ import pytest
 from stripcast import cli, model
 from stripcast.model import (
     FRAGILE_TOL,
-    ContractError,
     InstanceError,
     NARROW_LIMIT,
     Point,
     build_graph,
     compute_levels,
-    core_region,
     dist2,
-    in_rect,
     make_broadcast_set,
     make_instance,
     outside_source_disk,
@@ -307,29 +304,6 @@ def test_validate_hop_bound_flag():
     assert validate_broadcast(inst, range(4)).hops_ok is None
 
 
-def test_core_region_formula():
-    inst = make_instance([(0.0, 0.3)], width=0.5)
-    assert core_region(inst, 0) == (-0.5, 0.5, 0.0, 0.5)
-
-
-def test_core_region_contained_in_disk():
-    # 1000 corner probes across random points in a width-0.8 strip
-    inst = gen_random_strip(250, 0.8, seed=5, min_sep=0.0)
-    pts = inst.points
-    for i in range(inst.n):
-        x0, x1, y0, y1 = core_region(inst, i)
-        for cx in (x0, x1):
-            for cy in (y0, y1):
-                assert dist2(pts[i], Point(cx, cy)) <= 1.0 + 1e-12
-
-
-def test_core_region_rejects_wide_strip():
-    inst = make_instance([(0.0, 0.3)], width=0.9)
-    assert inst.width > NARROW_LIMIT
-    with pytest.raises(ContractError):
-        core_region(inst, 0)
-
-
 def test_broadcast_set_requires_source():
     inst = chain(3, spacing=0.95)
     with pytest.raises(InstanceError):
@@ -344,8 +318,3 @@ def test_coincident_points_are_adjacent():
     inst = make_instance([(0.0, 0.1), (0.0, 0.1)], width=0.3, warn_fragile=False)
     g = build_graph(inst)
     assert g.adjacent(0, 1)
-
-
-def test_in_rect():
-    assert in_rect((0.0, 1.0, 0.0, 1.0), Point(0.5, 1.0))
-    assert not in_rect((0.0, 1.0, 0.0, 1.0), Point(1.1, 0.5))

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 
@@ -9,9 +8,7 @@ from stripcast.model import (
     CoveringSets,
     InfeasibleError,
     build_graph,
-    core_region,
     dist2,
-    in_rect,
     make_instance,
     outside_source_disk,
     validate_broadcast,
@@ -158,9 +155,23 @@ def test_bidirectional_crafted_instance():
     assert report.is_dominating and report.is_connected
 
 
+def test_bidirectional_star_outside_the_old_core():
+    # both centers lie 0.7 from the source, outside the x-window |x| <= 1/2
+    inst = make_instance(
+        [(0.0, 0.15), (0.7, 0.15), (-0.7, 0.15), (1.6, 0.15), (-1.6, 0.15)],
+        width=0.3,
+        warn_fragile=False,
+    )
+    assert find_small(inst) is None
+    got = find_bidirectional(inst)
+    assert got is not None and got.active == (0, 1, 2)
+    result, info = solve_narrow_detailed(inst)
+    assert info["kind"] == "bidirectional" and result == got
+
+
 def test_bidirectional_centers_stay_in_core():
-    rng = random.Random(0)
-    core_hits = 0
+    # the centers are neighbours of the source and the star is valid
+    hits = 0
     for seed in range(150):
         n = 4 + seed % 9
         w = (0.3, 0.6, 0.86)[seed % 3]
@@ -170,14 +181,13 @@ def test_bidirectional_centers_stay_in_core():
         got = find_bidirectional(inst)
         if got is None:
             continue
-        core_hits += 1
-        core = core_region(inst, inst.source)
-        for i in got.active:
-            if i != inst.source:
-                assert in_rect(core, inst.points[i])
-    # crafted instance above guarantees the code path is also hit here
-    got = find_bidirectional(bidirectional_instance())
-    assert got is not None
+        hits += 1
+        assert got.size == 3
+        near = inst.graph.adj[inst.source]
+        assert all(i in near for i in got.active if i != inst.source)
+        report = validate_broadcast(inst, got)
+        assert report.is_dominating and report.is_connected
+    assert hits > 0
 
 
 def test_bidirectional_agrees_with_pair_scan():
@@ -188,18 +198,20 @@ def test_bidirectional_agrees_with_pair_scan():
         if find_small(inst) is not None:
             continue
         pts = inst.points
-        outside = [
-            i for i in range(inst.n) if dist2(pts[i], inst.source_point) > 1.0
+        src = inst.source_point
+        outside = [i for i in range(inst.n) if dist2(pts[i], src) > 1.0]
+        near = [
+            i
+            for i in range(inst.n)
+            if i != inst.source and dist2(pts[i], src) <= 1.0
         ]
-        core = core_region(inst, inst.source)
-        cand = [i for i in range(inst.n) if in_rect(core, pts[i])]
         want = any(
             all(
                 dist2(pts[q], pts[a]) <= 1.0 or dist2(pts[q], pts[b]) <= 1.0
                 for q in outside
             )
-            for a in cand
-            for b in cand
+            for a in near
+            for b in near
             if a != b
         )
         assert (find_bidirectional(inst) is not None) == want
