@@ -26,8 +26,8 @@ from .model import (
 from .narrow import solve_narrow
 from .hopdp import solve_hop
 from .twohop import solve_two_hop
-from .wide import solve_wide, solve_wide_cds, mu
-from .oracle import brute_min_broadcast, brute_min_cds, OracleConfig
+from .wide import solve_wide, mu
+from .oracle import brute_min_broadcast, OracleConfig
 
 __all__ = [
     "BroadcastSet",
@@ -42,7 +42,6 @@ __all__ = [
     "UnitDiskGraph",
     "ValidationReport",
     "brute_min_broadcast",
-    "brute_min_cds",
     "build_graph",
     "compute_levels",
     "make_broadcast_set",
@@ -52,7 +51,6 @@ __all__ = [
     "solve_narrow",
     "solve_two_hop",
     "solve_wide",
-    "solve_wide_cds",
     "validate_broadcast",
 ]
 

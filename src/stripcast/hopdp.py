@@ -14,8 +14,12 @@ Arborescences live in the level DAG (edges between consecutive levels,
 oriented upward).  The one-sided table M(p, [i, j]) is the minimum number of
 active points, excluding the root p, of an order-respecting arborescence
 rooted at p whose leaf set is the y-interval [i, j] of the last level.  The
-two-sided table at the source adds the root back in, so empty-interval cells
-are 0 and single-leaf cells are plain DAG distances.
+two-sided structure at the source is a table over suffix pairs: G(i, k) is
+the cheapest cover, source excluded, of the left last-level points i..m_l
+and the right ones k..m_r.  The source's children take consecutive (left
+interval, right interval) pairs in order, so G(i, k) is the cheapest first
+child over (i..t, k..u) plus G(t + 1, u + 1), and the answer is 1 + G(1, 1):
+(m_l + 1)(m_r + 1) cells, each trying every first pair.
 
 `solve_hop` reads the levels and covering sets the instance keeps, and at
 t = h >= 3 builds one level DAG and one pair of side tables (left: points with
@@ -210,26 +214,6 @@ def _second_point_split(table: OneSidedTable, p: int) -> tuple[int, int] | None:
     return None
 
 
-@dataclass
-class TwoSidedTable:
-    """Joint source table over (left interval, right interval) pairs.
-
-    Intervals are numbered once per side, empty ones (j = i - 1) included:
-    ``left_ids[(i, j)]`` and ``right_ids[(k, l)]`` index the dense rows
-    ``values[left_id][right_id]`` and ``choice[left_id][right_id]``.
-    """
-
-    left: OneSidedTable
-    right: OneSidedTable
-    left_ids: dict[tuple[int, int], int]
-    right_ids: dict[tuple[int, int], int]
-    values: list[list[float]]
-    choice: list[list[tuple]]
-
-    def value(self, i: int, j: int, k: int, l: int) -> float:
-        return self.values[self.left_ids[(i, j)]][self.right_ids[(k, l)]]
-
-
 def _side_tables(
     instance: StripInstance, dag: LevelDag
 ) -> tuple[OneSidedTable, OneSidedTable]:
@@ -258,149 +242,52 @@ def _root_cost(table: OneSidedTable, p: int, i: int, j: int) -> float:
     return v + 1.0 if v < INF else INF
 
 
-def _interval_ids(m: int) -> dict[tuple[int, int], int]:
-    """Number the intervals [i, j] of 1..m, empty ones (j = i - 1) included."""
-    ids: dict[tuple[int, int], int] = {}
-    for i in range(1, m + 2):
-        for j in range(i - 1, m + 1):
-            ids[(i, j)] = len(ids)
-    return ids
-
-
-def _split_ids(ids: dict[tuple[int, int], int]) -> list[list[tuple[int, int]]]:
-    """Per interval, the pairs (id [i, t], id [t + 1, j]) for t = i - 1 .. j."""
-    return [
-        [(ids[(i, t)], ids[(t + 1, j)]) for t in range(i - 1, j + 1)]
-        for i, j in ids
+def _cost_rows(table: OneSidedTable, level1: list[int]) -> list[list[list[float]]]:
+    """``rows[i][t - i + 1]``: the root-inclusive costs of [i, t] for each
+    level-1 point, for t = i - 1 .. m (the empty interval first)."""
+    m = table.m
+    return [[]] + [
+        [[_root_cost(table, p, i, t) for p in level1] for t in range(i - 1, m + 1)]
+        for i in range(1, m + 2)
     ]
 
 
-def _fill_joint(
-    instance: StripInstance,
-    dag: LevelDag,
-    left: OneSidedTable,
-    right: OneSidedTable,
-) -> TwoSidedTable:
-    """Fill the joint table as dense rows, by increasing total interval length.
+def _suffix_pairs(
+    lrows: list[list[list[float]]], rrows: list[list[list[float]]]
+) -> tuple[list[list[float]], list[list[tuple[int, int] | None]]]:
+    """G(i, k) of the module docstring, with each cell's winning first pair
+    (t, u), or None on G(m_l + 1, m_r + 1) = 0 and on INF cells.
 
-    A cell reads only cells of smaller total length, except the two trivial
-    branch splits, which read the cell itself; it is still INF while being
-    filled, so they never win.  Ties go to the first (t, u) split, then to
-    the first level-1 child, as picks replace only on a strict ``<``.
+    A pair's unit cost is its cheapest level-1 child, counted once when it
+    serves both sides; on a single leaf that is the source's shortest DAG
+    path.  Ties go to the first (t, u).
     """
-    src = instance.source
-    part = dag.part
-    level1 = sorted(part.levels[1]) if len(part.levels) > 1 else []
-    lids, rids = _interval_ids(left.m), _interval_ids(right.m)
-    lint, rint = list(lids), list(rids)
-    lsplits, rsplits = _split_ids(lids), _split_ids(rids)
-    # root-inclusive one-sided costs of each interval, over the level-1 points
-    lcost = [[_root_cost(left, p, i, j) for p in level1] for i, j in lint]
-    rcost = [[_root_cost(right, p, k, l) for p in level1] for k, l in rint]
-    values = [[INF] * len(rint) for _ in lint]
-    choice = [[("dead",)] * len(rint) for _ in lint]
-    lby_len: list[list[int]] = [[] for _ in range(left.m + 1)]
-    rby_len: list[list[int]] = [[] for _ in range(right.m + 1)]
-    for a, (i, j) in enumerate(lint):
-        lby_len[j - i + 1].append(a)
-    for b, (k, l) in enumerate(rint):
-        rby_len[l - k + 1].append(b)
-
-    for a in lby_len[0]:
-        for b in rby_len[0]:
-            values[a][b] = 0.0
-            choice[a][b] = ("empty",)
-    if left.m:
-        for a in lby_len[1]:
-            q = left.terminals[lint[a][0] - 1]
-            for b in rby_len[0]:
-                values[a][b] = part.level[q] if src in left.reach[q] else INF
-                choice[a][b] = ("path-left", q)
-    if right.m:
-        for b in rby_len[1]:
-            q = right.terminals[rint[b][0] - 1]
-            for a in lby_len[0]:
-                values[a][b] = part.level[q] if src in right.reach[q] else INF
-                choice[a][b] = ("path-right", q)
-
-    for total in range(2, left.m + right.m + 1):
-        for ln_l in range(max(0, total - right.m), min(left.m, total) + 1):
-            ln_r = total - ln_l
-            # child term: the source plus both root-inclusive costs, less
-            # the child itself when both nonempty sides count it
-            child_extra = 0.0 if (ln_l and ln_r) else 1.0
-            for a in lby_len[ln_l]:
-                i = lint[a][0]
-                vrow = values[a]
-                crow = choice[a]
-                splits = lsplits[a]
-                al = lcost[a]
-                for b in rby_len[ln_r]:
-                    k = rint[b][0]
-                    rs = rsplits[b]
-                    best = INF
-                    pick = None
-                    # branching at the source: split both intervals
-                    for t, (a1, a2) in enumerate(splits):
-                        r1 = values[a1]
-                        r2 = values[a2]
-                        row = [r1[b1] + r2[b2] for b1, b2 in rs]
-                        low = min(row)
-                        if low - 1.0 < best:
-                            best = low - 1.0
-                            pick = ("branch", i - 1 + t, k - 1 + row.index(low))
-                    if level1:
-                        joint = list(map(add, al, rcost[b]))
-                        low = min(joint)
-                        if low + child_extra < best:
-                            best = low + child_extra
-                            pick = ("child", level1[joint.index(low)])
-                    if pick is not None:
-                        vrow[b] = best
-                        crow[b] = pick
-    return TwoSidedTable(left, right, lids, rids, values, choice)
-
-
-def _walk_joint(
-    table: TwoSidedTable,
-    instance: StripInstance,
-    i: int,
-    j: int,
-    k: int,
-    l: int,
-    out: set[int],
-) -> None:
-    src = instance.source
-    pick = table.choice[table.left_ids[(i, j)]][table.right_ids[(k, l)]]
-    kind = pick[0]
-    if kind == "empty":
-        return
-    if kind == "path-left":
-        out.add(src)
-        _walk_dag_path(table.left, src, pick[1], out)
-        return
-    if kind == "path-right":
-        out.add(src)
-        _walk_dag_path(table.right, src, pick[1], out)
-        return
-    if kind == "branch":
-        t, u = pick[1], pick[2]
-        _walk_joint(table, instance, i, t, k, u, out)
-        _walk_joint(table, instance, t + 1, j, u + 1, l, out)
-        return
-    if kind == "child":
-        p = pick[1]
-        out.add(src)
-        out.add(p)
-        if j >= i:
-            _walk_table(table.left, p, i, j, out)
-        if l >= k:
-            _walk_table(table.right, p, k, l, out)
-        return
-    raise AssertionError("walking a dead table cell")
-
-
-_MAX_TWO_SIDED_POINTS = 400
+    ml, mr = len(lrows) - 2, len(rrows) - 2
+    g = [[INF] * (mr + 2) for _ in range(ml + 2)]
+    pick: list[list[tuple[int, int] | None]] = [
+        [None] * (mr + 2) for _ in range(ml + 2)
+    ]
+    # the cheapest child per side bounds a pair's unit cost from below; the
+    # empty pair comes first and reads the cell itself, so it never wins
+    lmin = [[min(row, default=INF) for row in rows] for rows in lrows]
+    rmin = [[min(row, default=INF) for row in rows] for rows in rrows]
+    g[ml + 1][mr + 1] = 0.0
+    for i in range(ml + 1, 0, -1):
+        for k in range(mr + 1, 0, -1):
+            best = g[i][k]
+            for t, al in enumerate(lrows[i], i - 1):
+                rest = g[t + 1]
+                low = lmin[i][t - i + 1]
+                for u, ar in enumerate(rrows[k], k - 1):
+                    shared = 1.0 if (t >= i and u >= k) else 0.0
+                    if low + rmin[k][u - k + 1] - shared + rest[u + 1] >= best:
+                        continue
+                    cost = min(map(add, al, ar)) - shared + rest[u + 1]
+                    if cost < best:
+                        best = cost
+                        pick[i][k] = (t, u)
+            g[i][k] = best
+    return g, pick
 
 
 def _two_sided(
@@ -409,13 +296,27 @@ def _two_sided(
     left: OneSidedTable,
     right: OneSidedTable,
 ) -> BroadcastSet:
-    """The two-sided arborescence over already filled side tables."""
-    table = _fill_joint(instance, dag, left, right)
-    total = table.value(1, left.m, 1, right.m)
-    if total == INF:
+    """The two-sided arborescence over already filled side tables.
+
+    The traceback follows the winning first pairs from G(1, 1); each pair's
+    child is its first cheapest level-1 point.
+    """
+    levels = dag.part.levels
+    level1 = sorted(levels[1]) if len(levels) > 1 else []
+    lrows, rrows = _cost_rows(left, level1), _cost_rows(right, level1)
+    g, pick = _suffix_pairs(lrows, rrows)
+    if g[1][1] == INF:
         raise InfeasibleError("no two-sided arborescence spans the last level")
     out: set[int] = {instance.source}
-    _walk_joint(table, instance, 1, left.m, 1, right.m, out)
+    i = k = 1
+    while (split := pick[i][k]) is not None:
+        t, u = split
+        joint = list(map(add, lrows[i][t - i + 1], rrows[k][u - k + 1]))
+        p = level1[joint.index(min(joint))]
+        out.add(p)
+        _walk_table(left, p, i, t, out)
+        _walk_table(right, p, k, u, out)
+        i, k = t + 1, u + 1
     return make_broadcast_set(instance, out)
 
 
@@ -458,11 +359,6 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
     left, right = _side_tables(instance, dag)
     consider(_mixed_candidate(instance, right, "+"))
     consider(_mixed_candidate(instance, left, "-"))
-    if instance.n > _MAX_TWO_SIDED_POINTS:
-        raise ContractError(
-            f"two-sided DP refuses n={instance.n} > {_MAX_TWO_SIDED_POINTS} "
-            "(table memory)"
-        )
     try:
         consider(_two_sided(instance, dag, left, right))
     except InfeasibleError:

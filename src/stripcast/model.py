@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import takewhile
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 NARROW_LIMIT = math.sqrt(3.0) / 2.0
 INF = math.inf
@@ -176,29 +176,10 @@ def make_instance(
     return inst
 
 
-def min_over_sources(
-    instance: StripInstance, solve: Callable[[StripInstance], BroadcastSet]
-) -> BroadcastSet:
-    """Smallest of ``solve``'s broadcast sets over every choice of source.
-
-    Each point in turn becomes the source of a copy of the instance; the
-    first source whose set is smallest wins.
-    """
-    coords = [(p.x, p.y) for p in instance.points]
-    copies = (
-        make_instance(coords, source=src, width=instance.width, warn_fragile=False)
-        for src in range(instance.n)
-    )
-    return min(map(solve, copies), key=lambda result: result.size)
-
-
 @dataclass(frozen=True)
 class UnitDiskGraph:
     n: int
     adj: tuple[frozenset[int], ...]
-
-    def neighbors(self, i: int) -> frozenset[int]:
-        return self.adj[i]
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self.adj[i]

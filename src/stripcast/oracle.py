@@ -19,7 +19,6 @@ from .model import (
     UnitDiskGraph,
     build_graph,
     make_broadcast_set,
-    min_over_sources,
 )
 
 
@@ -134,42 +133,3 @@ def brute_min_broadcast(
                 continue
             return make_broadcast_set(instance, [src, *extra])
     raise InfeasibleError("no feasible broadcast set found")  # pragma: no cover
-
-
-def brute_min_cds(
-    instance: StripInstance,
-    config: OracleConfig = DEFAULT_CONFIG,
-    mode: str = "direct",
-) -> BroadcastSet:
-    """Minimum connected dominating set (no forced source).
-
-    ``direct`` enumerates subsets outright; ``per-source`` takes the best
-    forced-source broadcast over all sources.  The two must agree in size.
-    """
-    n = instance.n
-    if n > config.max_n:
-        raise OracleLimitError(f"oracle refuses n={n} > max_n={config.max_n}")
-    if mode == "per-source":
-        return min_over_sources(
-            instance, lambda inst: brute_min_broadcast(inst, config=config)
-        )
-    if mode != "direct":
-        raise ValueError(f"unknown oracle mode {mode!r}")
-
-    nbr, closed = _masks(build_graph(instance))
-    full = (1 << n) - 1
-    deadline = None if config.time_budget is None else time.monotonic() + config.time_budget
-    for k in range(1, n + 1):
-        for sub in combinations(range(n), k):
-            if deadline is not None and time.monotonic() > deadline:
-                raise OracleLimitError("oracle time budget exceeded")
-            subset = 0
-            for i in sub:
-                subset |= 1 << i
-            anchor = 1 << sub[0]
-            if not _connected(subset, anchor, nbr, n):
-                continue
-            if not _dominates(subset, closed, full):
-                continue
-            return BroadcastSet(tuple(sub))
-    raise InfeasibleError("no connected dominating set exists")

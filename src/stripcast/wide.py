@@ -33,7 +33,6 @@ from .model import (
     build_graph,
     connected_levels,
     make_broadcast_set,
-    min_over_sources,
     validate_broadcast,
 )
 
@@ -233,8 +232,3 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
             f"internal error: wide DP produced an invalid set {result.active}"
         )
     return result
-
-
-def solve_wide_cds(instance: StripInstance, cap: int = 16) -> BroadcastSet:
-    """Minimum connected dominating set: best forced-source broadcast."""
-    return min_over_sources(instance, lambda inst: solve_wide(inst, cap=cap))

@@ -1,14 +1,16 @@
 import math
+from functools import lru_cache
 
 import pytest
 
 from stripcast import hopdp, model
 from stripcast.hopdp import (
-    _fill_joint,
+    _cost_rows,
     _mixed_candidate,
     _root_cost,
     _second_point_split,
     _side_tables,
+    _suffix_pairs,
     _two_sided,
     _walk_table,
     build_level_dag,
@@ -25,7 +27,7 @@ from stripcast.model import (
     validate_broadcast,
 )
 from stripcast.narrow import solve_narrow
-from stripcast.oracle import brute_min_broadcast
+from stripcast.oracle import OracleConfig, brute_min_broadcast
 from stripcast.twohop import solve_two_hop
 from test_wide import _lattice_ulp_strip_corpus
 
@@ -241,6 +243,25 @@ def test_two_sided_one_side_empty_reduces():
     assert two_got.size == one_got.size
 
 
+def test_two_sided_counts_a_shared_child_once():
+    # one level-1 point covers the last level on both sides: G(1, 1) is that
+    # child alone, not one copy per side
+    inst = make_instance(
+        [(0.0, 0.1), (0.0, 0.8), (-0.9, 0.8), (0.9, 0.8)],
+        width=0.86,
+        warn_fragile=False,
+    )
+    part = compute_levels(inst)
+    assert [part.level[i] for i in range(4)] == [0, 1, 2, 2]
+    dag = build_level_dag(inst)
+    left, right = _side_tables(inst, dag)
+    level1 = sorted(part.levels[1])
+    g, pick = _suffix_pairs(_cost_rows(left, level1), _cost_rows(right, level1))
+    assert g[1][1] == 1.0 and pick[1][1] == (1, 1)
+    assert two_sided(inst).active == (0, 1)
+    assert brute_min_broadcast(inst, hops=2).size == 2
+
+
 def test_two_sided_matches_oracle():
     # whenever the joint arborescence defines a feasible broadcast it is
     # optimal; an infeasible witness may only undershoot (the dispatcher
@@ -267,37 +288,70 @@ def test_two_sided_matches_oracle():
     assert matched >= 40
 
 
-def joint_cell(inst, part, left, right, table, i, j, k, l):
-    """One joint cell from the 4-tuple recurrence, reading smaller cells."""
+def joint_root(inst, part, left, right):
+    """The root of the 4-tuple recurrence over (left interval, right interval)
+    cells, memoized: a cell is a single-leaf source path, a branch at the
+    source into two smaller cells, or one level-1 child over both intervals.
+    Root-inclusive, so the source is counted once per cell."""
     src = inst.source
-    ln_l, ln_r = j - i + 1, l - k + 1
-    if ln_l == 0 and ln_r == 0:
+
+    @lru_cache(maxsize=None)
+    def cell(i, j, k, l):
+        ln_l, ln_r = j - i + 1, l - k + 1
+        if ln_l == 0 and ln_r == 0:
+            return 0.0
+        if (ln_l, ln_r) == (1, 0):
+            q = left.terminals[i - 1]
+            return part.level[q] if src in left.reach[q] else INF
+        if (ln_l, ln_r) == (0, 1):
+            q = right.terminals[k - 1]
+            return part.level[q] if src in right.reach[q] else INF
+        best = INF
+        for t in range(i - 1, j + 1):
+            for u in range(k - 1, l + 1):
+                if (t, u) in ((i - 1, k - 1), (j, l)):
+                    continue
+                best = min(best, cell(i, t, k, u) + cell(t + 1, j, u + 1, l) - 1.0)
+        for p in part.levels[1]:
+            al = _root_cost(left, p, i, j)
+            ar = _root_cost(right, p, k, l)
+            joint = al + ar - 1.0 if (ln_l and ln_r) else al + ar
+            best = min(best, 1.0 + joint)
+        return best
+
+    return cell(1, left.m, 1, right.m)
+
+
+def suffix_cell(inst, part, left, right, g, i, k):
+    """G(i, k) from its own recursion, reading later cells of ``g``: the
+    cheapest first pair (i..t, k..u), its unit cost a level-1 child or, on a
+    single leaf, the source's DAG path."""
+    src = inst.source
+    if (i, k) == (left.m + 1, right.m + 1):
         return 0.0
-    if (ln_l, ln_r) == (1, 0):
-        q = left.terminals[i - 1]
-        return part.level[q] if src in left.reach[q] else INF
-    if (ln_l, ln_r) == (0, 1):
-        q = right.terminals[k - 1]
-        return part.level[q] if src in right.reach[q] else INF
     best = INF
-    for t in range(i - 1, j + 1):
-        for u in range(k - 1, l + 1):
-            if (t, u) in ((i - 1, k - 1), (j, l)):
+    for t in range(i - 1, left.m + 1):
+        for u in range(k - 1, right.m + 1):
+            if (t, u) == (i - 1, k - 1):
                 continue
-            best = min(
-                best, table.value(i, t, k, u) + table.value(t + 1, j, u + 1, l) - 1.0
-            )
-    for p in part.levels[1]:
-        al = _root_cost(left, p, i, j)
-        ar = _root_cost(right, p, k, l)
-        joint = al + ar - 1.0 if (ln_l and ln_r) else al + ar
-        best = min(best, 1.0 + joint)
+            units = [
+                _root_cost(left, p, i, t)
+                + _root_cost(right, p, k, u)
+                - (1.0 if (t >= i and u >= k) else 0.0)
+                for p in part.levels[1]
+            ]
+            if (t - i, u - k) == (0, -1) and src in left.reach[left.terminals[i - 1]]:
+                units.append(part.level[left.terminals[i - 1]] - 1.0)
+            if (t - i, u - k) == (-1, 0) and src in right.reach[right.terminals[k - 1]]:
+                units.append(part.level[right.terminals[k - 1]] - 1.0)
+            best = min(best, min(units) + g[t + 1][u + 1])
     return best
 
 
-def test_joint_table_recurrence_at_benchmark_scale():
+def test_suffix_pair_table_recurrence_at_benchmark_scale():
     # hop-dense-shaped draws (n = 50 on a strip of length 3, depth 2) with at
-    # least 5 last-level points on each side, so the joint table is large
+    # least 5 last-level points on each side; every G cell matches its own
+    # recursion, and the root matches the 4-tuple recurrence
     cells = 0
     for seed in (1, 2, 4, 20):
         inst = gen_random_strip(50, 0.86, seed, min_sep=0.05, span=1.5)
@@ -306,18 +360,43 @@ def test_joint_table_recurrence_at_benchmark_scale():
         dag = build_level_dag(inst)
         left, right = _side_tables(inst, dag)
         assert left.m >= 5 and right.m >= 5
-        table = _fill_joint(inst, dag, left, right)
+        level1 = sorted(part.levels[1])
+        g, _ = _suffix_pairs(_cost_rows(left, level1), _cost_rows(right, level1))
         for i in range(1, left.m + 2):
-            for j in range(i - 1, left.m + 1):
-                for k in range(1, right.m + 2):
-                    for l in range(k - 1, right.m + 1):
-                        want = joint_cell(inst, part, left, right, table, i, j, k, l)
-                        assert table.value(i, j, k, l) == want, (seed, i, j, k, l)
-                        cells += 1
-        root = table.value(1, left.m, 1, right.m)
+            for k in range(1, right.m + 2):
+                want = suffix_cell(inst, part, left, right, g, i, k)
+                assert g[i][k] == want, (seed, i, k)
+                cells += 1
+        root = 1.0 + g[1][1]
         assert root < INF
+        assert root == joint_root(inst, part, left, right)
         assert two_sided(inst).size <= root
-    assert cells >= 10000
+    assert cells >= 400
+
+
+def mirrored_bundle(strings, hops):
+    """``gen_bundle(strings, hops)`` plus its mirror image across x = 0."""
+    pts = [(p.x, p.y) for p in gen_bundle(strings, hops).points]
+    pts += [(-x, y) for x, y in pts[1:]]
+    return make_instance(pts, width=math.sqrt(3) / 2, warn_fragile=False)
+
+
+@pytest.mark.parametrize(
+    "strings, hops", [(2, 3), (2, 4), (3, 3), (3, 4), (4, 5), (2, 8), (3, 10)]
+)
+def test_mirrored_bundle_two_sided_meets_the_formula(strings, hops):
+    # both sides need one full row per string: 1 + 2 * strings * (hops - 1)
+    inst = mirrored_bundle(strings, hops)
+    assert inst.n == 1 + 2 * strings * (2 * hops - 1)
+    assert compute_levels(inst).depth == hops
+    want = 1 + 2 * strings * (hops - 1)
+    got = two_sided(inst)
+    assert validate_broadcast(inst, got, hops=hops).valid
+    assert got.size == want
+    assert solve_hop(inst, hops).size == want
+    if inst.n == 21:
+        oracle = brute_min_broadcast(inst, hops=hops, config=OracleConfig(max_n=21))
+        assert oracle.size == want == 9
 
 
 def _deep_random_strips():
@@ -381,7 +460,7 @@ def test_solve_hop_at_depth_two_is_the_two_hop_set():
 
 
 def test_solve_hop_solves_large_depth_two_strip():
-    # the two-sided table's 400-point limit does not apply at t = h <= 2
+    # n = 401 at t = h = 2 goes to the 2-hop solver, not the level DAG
     inst = gen_random_strip(401, 0.6, 0, min_sep=0.01, span=1.1)
     assert compute_levels(inst).depth == 2
     got = solve_hop(inst, 2)
@@ -436,19 +515,25 @@ def test_solve_hop_computes_covering_sets_at_most_once(monkeypatch):
     assert calls == []
 
 
-def test_two_sided_refusal_reaches_solve_hop():
-    # the joint table is refused above 400 points, after the side tables; on
-    # a bundle the narrow set breaks the hop bound, so the DP must run
+def test_bundle_of_403_points_solves_at_the_formula():
+    # on a bundle the narrow set breaks the hop bound, so the DP runs; its
+    # tables grow with the last level (2 points here), not with n
     inst = gen_bundle(2, 101)
+    assert inst.n == 403
     part = compute_levels(inst)
-    assert not part.unreachable and part.depth >= 3
-    assert not validate_broadcast(inst, solve_narrow(inst), hops=part.depth).valid
-    with pytest.raises(ContractError, match="refuses n=403 > 400"):
-        solve_hop(inst, part.depth)
+    assert not part.unreachable and part.depth == 101
+    assert not validate_broadcast(inst, solve_narrow(inst), hops=101).valid
+    got = solve_hop(inst, 101)
+    assert got.size == 1 + 2 * (101 - 1) == 201
+    assert validate_broadcast(inst, got, hops=101).valid
 
 
-def test_narrow_set_within_the_bound_is_returned_before_the_dp():
-    # n=500 is above the two-sided DP's limit; the narrow set meets the bound
+def test_narrow_set_within_the_bound_is_returned_before_the_dp(monkeypatch):
+    # the narrow set meets the bound, so no level DAG is built
+    def no_dag(inst):
+        raise AssertionError("level DAG built although the narrow set is optimal")
+
+    monkeypatch.setattr(hopdp, "build_level_dag", no_dag)
     inst = gen_random_strip(500, 0.6, 70000, min_sep=0.05, span=20)
     part = compute_levels(inst)
     assert not part.unreachable and part.depth >= 3

@@ -294,6 +294,21 @@ def test_cli_gen_bundle_round_trip(tmp_path):
     assert inst.n == 11 and inst.hops == 3
 
 
+def test_cli_solves_bundle_of_403_points(tmp_path):
+    # depth 101 on 403 points: the hop DP runs, as the narrow set breaks the
+    # bound, and answers at the bundle formula 1 + 2 * (101 - 1)
+    path = str(tmp_path / "bundle.json")
+    code, _ = run_cli(
+        ["gen", "--kind", "bundle", "--variables", "2", "--hops", "101", "-o", path]
+    )
+    assert code == 0
+    code, out = run_cli(["solve", path, "--hops", "101"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "size 201"
+    assert lines[2] == "valid: dominating=True connected=True max_hops=101"
+
+
 def test_cli_bench_single_suite():
     code, out = run_cli(["bench", "--suite", "density-formula"])
     assert code == 0

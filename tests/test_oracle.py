@@ -2,12 +2,7 @@ import pytest
 
 from stripcast.io_cli import gen_random_strip
 from stripcast.model import InfeasibleError, make_instance, validate_broadcast
-from stripcast.oracle import (
-    OracleConfig,
-    OracleLimitError,
-    brute_min_broadcast,
-    brute_min_cds,
-)
+from stripcast.oracle import OracleConfig, OracleLimitError, brute_min_broadcast
 
 
 def chain(k, spacing=0.95, width=0.5):
@@ -54,17 +49,27 @@ def test_time_budget():
         brute_min_broadcast(inst, config=OracleConfig(time_budget=0.0))
 
 
+def per_source(inst):
+    """The instance once for each choice of source; the smallest of their
+    broadcast sets is a minimum connected dominating set."""
+    coords = [(p.x, p.y) for p in inst.points]
+    return [
+        make_instance(coords, source=src, width=inst.width, warn_fragile=False)
+        for src in range(inst.n)
+    ]
+
+
 def test_cds_clique():
     inst = make_instance(
         [(0.0, 0.2), (0.3, 0.2), (0.15, 0.4)], width=0.5, warn_fragile=False
     )
-    assert brute_min_cds(inst).size == 1
+    assert [brute_min_broadcast(c).size for c in per_source(inst)] == [1, 1, 1]
 
 
 def test_cds_path_of_five():
-    got = brute_min_cds(chain(5))
-    assert got.size == 3
-    assert got.active == (1, 2, 3)
+    got = [brute_min_broadcast(c) for c in per_source(chain(5))]
+    assert [b.size for b in got] == [4, 3, 3, 3, 4]
+    assert got[2].active == (1, 2, 3)
 
 
 def test_cds_star():
@@ -75,21 +80,9 @@ def test_cds_star():
         ang = 2 * math.pi * i / 6
         pts.append((0.95 * math.cos(ang), 0.5 + 0.45 * math.sin(ang)))
     inst = make_instance(pts, width=1.0, warn_fragile=False)
-    got = brute_min_cds(inst)
-    assert got.size == 1 and got.active == (0,)
-
-
-def test_cds_modes_agree():
-    for seed in range(25):
-        inst = gen_random_strip(4 + seed % 6, 0.8, seed + 50, min_sep=0.05)
-        try:
-            a = brute_min_cds(inst, mode="direct")
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                brute_min_cds(inst, mode="per-source")
-            continue
-        b = brute_min_cds(inst, mode="per-source")
-        assert a.size == b.size
+    got = [brute_min_broadcast(c) for c in per_source(inst)]
+    assert got[0].active == (0,)
+    assert [b.size for b in got] == [1] + [2] * 6
 
 
 def test_permutation_invariance():

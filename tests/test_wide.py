@@ -11,13 +11,9 @@ from stripcast.model import (
     validate_broadcast,
 )
 from stripcast.narrow import solve_narrow
-from stripcast.oracle import brute_min_broadcast, brute_min_cds
-from stripcast.wide import (
-    TractabilityError,
-    mu,
-    solve_wide,
-    solve_wide_cds,
-)
+from stripcast.oracle import brute_min_broadcast
+from stripcast.wide import TractabilityError, mu, solve_wide
+from test_oracle import per_source
 
 
 def test_mu_values():
@@ -129,29 +125,31 @@ def test_cds_triangle():
     inst = make_instance(
         [(0.0, 0.2), (0.5, 0.2), (0.25, 0.6)], width=1.0, warn_fragile=False
     )
-    assert solve_wide_cds(inst).size == 1
+    assert [solve_wide(c).size for c in per_source(inst)] == [1, 1, 1]
 
 
 def test_cds_path_of_five():
     inst = make_instance(
         [(i * 0.95, 0.5) for i in range(5)], width=1.0, warn_fragile=False
     )
-    got = solve_wide_cds(inst)
-    assert got.size == 3
+    assert [solve_wide(c).size for c in per_source(inst)] == [4, 3, 3, 3, 4]
 
 
 def test_cds_matches_oracle():
+    # every source's broadcast, so also their minimum, the connected
+    # dominating set
     for seed in range(30):
         n = 4 + seed % 7
         w = (1.0, 1.5)[seed % 2]
         inst = gen_random_strip(n, w, seed + 90_000, min_sep=0.05, span=max(1.0, 0.2 * n))
-        try:
-            got = solve_wide_cds(inst)
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                brute_min_cds(inst)
-            continue
-        assert got.size == brute_min_cds(inst).size
+        for copy in per_source(inst):
+            try:
+                got = solve_wide(copy)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    brute_min_broadcast(copy)
+                continue
+            assert got.size == brute_min_broadcast(copy).size
 
 
 def _lattice_ulp_strip_corpus(
