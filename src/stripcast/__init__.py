@@ -17,8 +17,6 @@ from .model import (
     StripInstance,
     UnitDiskGraph,
     ValidationReport,
-    build_graph,
-    compute_levels,
     make_broadcast_set,
     make_instance,
     validate_broadcast,
@@ -27,7 +25,7 @@ from .narrow import solve_narrow
 from .hopdp import solve_hop
 from .twohop import solve_two_hop
 from .wide import solve_wide, mu
-from .oracle import brute_min_broadcast, OracleConfig
+from .oracle import brute_min_broadcast
 
 __all__ = [
     "BroadcastSet",
@@ -36,14 +34,11 @@ __all__ = [
     "InstanceError",
     "LevelPartition",
     "NARROW_LIMIT",
-    "OracleConfig",
     "Point",
     "StripInstance",
     "UnitDiskGraph",
     "ValidationReport",
     "brute_min_broadcast",
-    "build_graph",
-    "compute_levels",
     "make_broadcast_set",
     "make_instance",
     "mu",

@@ -11,16 +11,18 @@ import hashlib
 import math
 import random
 import warnings
-from collections import deque
+from collections import Counter, deque
+from typing import Sequence
 
 from . import hopdp, io_cli, narrow, oracle, twohop, wide
 from .model import (
+    BroadcastSet,
     InfeasibleError,
+    Point,
     StripInstance,
-    build_graph,
-    compute_levels,
     dist2,
     make_instance,
+    outside_source_disk,
     validate_broadcast,
 )
 
@@ -28,9 +30,9 @@ WIDTHS_NARROW = (0.3, 0.6, 0.86)
 WIDTHS_WIDE = (1.0, 1.5, 2.0)
 
 
-def _narrow_corpus(count: int, base_seed: int, n_cap: int = 12):
+def _narrow_corpus(count: int, base_seed: int):
     for s in range(count):
-        n = 4 + s % (n_cap - 3)
+        n = 4 + s % 9
         w = WIDTHS_NARROW[s % 3]
         yield s, io_cli.gen_random_strip(
             n, w, base_seed + s, min_sep=0.05, span=max(1.0, 0.2 * n)
@@ -135,7 +137,7 @@ def criterion_structure():
             if not all(i in near for i in centers):
                 return False, f"seed {s}: bidirectional center not next to the source"
         else:
-            graph = build_graph(inst)
+            graph = inst.graph
             covering = inst.covering
             paths = info["paths"]
             seen = []
@@ -163,7 +165,7 @@ def criterion_hop_optimality():
         w = WIDTHS_NARROW[s % 3]
         inst = io_cli.gen_random_strip(n, w, 40000 + s, min_sep=0.05)
         if s % 3 == 0:
-            part = compute_levels(inst)
+            part = inst.levels
             h = min(5, max(2, part.depth))  # bias toward t = h
         else:
             h = 2 + s % 4
@@ -202,7 +204,7 @@ def criterion_dp_consistency():
             n, w, 60000 + s, min_sep=0.05, span=max(1.0, 0.2 * n), one_sided=True
         )
         s += 1
-        part = compute_levels(inst)
+        part = inst.levels
         if part.unreachable or part.depth < 1:
             continue
         instances += 1
@@ -233,6 +235,92 @@ def criterion_dp_consistency():
     return True, f"{cells} cells re-evaluated across {instances} instances"
 
 
+# The two-hop criterion's check that each disk owns at most two boundary runs.
+def _ray_exit(
+    s: Point, direction: tuple[float, float], centers: Sequence[tuple[int, Point]]
+) -> tuple[float, list[int]]:
+    """Leave-point of the ray from s through the union of unit disks.
+
+    Returns (t_exit, indices of disks whose boundary passes through it).
+    The ray is parametrized s + t * direction with |direction| = 1.
+    """
+    spans = []
+    for idx, c in centers:
+        # |s + t d - c|^2 = 1
+        fx = s.x - c.x
+        fy = s.y - c.y
+        b = fx * direction[0] + fy * direction[1]
+        cc = fx * fx + fy * fy - 1.0
+        disc = b * b - cc
+        if disc < 0.0:
+            continue
+        r = math.sqrt(disc)
+        spans.append((-b - r, -b + r, idx))
+    reach = 0.0
+    grown = True
+    while grown:
+        grown = False
+        for t0, t1, _ in spans:
+            if t0 <= reach < t1:
+                reach = t1
+                grown = True
+    owners = [idx for t0, t1, idx in spans if t1 == reach]
+    return reach, owners
+
+
+def boundary_sequence(instance: StripInstance, active: BroadcastSet) -> list[int]:
+    """Deduplicated circular sequence of boundary owners around the source.
+
+    For each outside point in CCW order, shoot a ray from the source through
+    it and record which active disk's boundary the ray exits the union at
+    (ties by smallest index).  Consecutive duplicates are merged circularly.
+    """
+    pts = instance.points
+    s = instance.source_point
+    outside = sorted(
+        outside_source_disk(instance),
+        key=lambda i: (twohop._ccw_angle(s, pts[i]), dist2(pts[i], s), i),
+    )
+    centers = [(i, pts[i]) for i in active.active]
+    seq = []
+    for q in outside:
+        d = math.sqrt(dist2(pts[q], s))
+        direction = ((pts[q].x - s.x) / d, (pts[q].y - s.y) / d)
+        _, owners = _ray_exit(s, direction, centers)
+        if not owners:
+            raise AssertionError(f"ray through point {q} never inside the union")
+        seq.append(min(owners))
+    dedup: list[int] = []
+    for v in seq:
+        if not dedup or dedup[-1] != v:
+            dedup.append(v)
+    while len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def sigma_properties_ok(sigma: list[int]) -> bool:
+    """Each owner appears at most twice and no two owners interleave."""
+    counts = Counter(sigma)
+    if any(v > 2 for v in counts.values()):
+        return False
+    pos: dict[int, list[int]] = {}
+    for i, v in enumerate(sigma):
+        pos.setdefault(v, []).append(i)
+    doubles = [v for v, ps in pos.items() if len(ps) == 2]
+    for x in doubles:
+        a, b = pos[x]
+        for y in doubles:
+            if y == x:
+                continue
+            c, d = pos[y]
+            inside_c = a < c < b
+            inside_d = a < d < b
+            if inside_c != inside_d:
+                return False
+    return True
+
+
 def criterion_two_hop():
     """200 planar instances: solve_two_hop equals the 2-hop oracle; sigma holds."""
     solved = 0
@@ -257,8 +345,8 @@ def criterion_two_hop():
             return False, f"seed {s}: size {got.size} != oracle {want.size}"
         if not validate_broadcast(inst, got, hops=2).valid:
             return False, f"seed {s}: invalid 2-hop set"
-        sigma = twohop.boundary_sequence(inst, got)
-        if not twohop.sigma_properties_ok(sigma):
+        sigma = boundary_sequence(inst, got)
+        if not sigma_properties_ok(sigma):
             return False, f"seed {s}: boundary sequence violates the run properties"
         solved += 1
     return True, f"{solved} instances matched the 2-hop oracle"
@@ -322,8 +410,8 @@ def criterion_geometric_invariants():
         n = 3 + s % 8
         w = WIDTHS_NARROW[s % 3]
         inst = io_cli.gen_random_strip(n, w, 100000 + s, min_sep=0.02)
-        graph = build_graph(inst)
-        part = compute_levels(inst)  # raises on an overlap violation
+        graph = inst.graph
+        part = inst.levels  # raises on an overlap violation
         pts = inst.points
         for i in range(1, len(part.levels)):
             if part.plus[i] and part.plus[i - 1]:

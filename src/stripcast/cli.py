@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 error (bad input, unsupported request), 2 infeasible
+Exit codes: 0 success, 1 error (bad input, or a solver's typed refusal: a
+precondition, the window cap or the oracle's size limit), 2 infeasible
 instance - scripts need to tell infeasibility apart from failure.
 """
 
@@ -14,6 +15,7 @@ from . import acceptance, hopdp, io_cli, narrow, oracle, twohop, wide
 from .model import (
     NARROW_LIMIT,
     BroadcastSet,
+    ContractError,
     InfeasibleError,
     InstanceError,
     StripInstance,
@@ -85,13 +87,21 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _parse_set(text: str, instance: StripInstance) -> list[int]:
+    """The point indices of a ``--set`` value, each checked against the instance."""
+    try:
+        indices = [int(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise InstanceError(f"--set must be a comma-separated index list, got {text!r}")
+    for i in indices:
+        if not 0 <= i < instance.n:
+            raise InstanceError(f"--set index {i} out of range 0..{instance.n - 1}")
+    return indices
+
+
 def _cmd_verify(args) -> int:
     instance = io_cli.load_instance(args.file)
-    try:
-        indices = [int(tok) for tok in args.set.replace(",", " ").split()]
-    except ValueError:
-        raise InstanceError(f"--set must be a comma-separated index list, got {args.set!r}")
-    candidate = make_broadcast_set(instance, indices)
+    candidate = make_broadcast_set(instance, _parse_set(args.set, instance))
     report = validate_broadcast(instance, candidate)
     hops_txt = "inf" if report.max_hops_needed == float("inf") else int(report.max_hops_needed)
     print(f"dominating: {report.is_dominating}")
@@ -105,6 +115,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.hops is not None and args.hops < 1:
+        raise InstanceError(f"--hops must be a positive integer, got {args.hops}")
     if args.kind == "random-strip":
         inst = io_cli.gen_random_strip(
             args.n, args.width, args.seed, min_sep=args.min_sep
@@ -132,9 +144,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_render(args) -> int:
     instance = io_cli.load_instance(args.file)
-    active = []
-    if args.set:
-        active = [int(tok) for tok in args.set.replace(",", " ").split()]
+    active = [] if args.set is None else _parse_set(args.set, instance)
     svg = io_cli.render_svg(instance, active)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
@@ -194,7 +204,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, io_cli.GeneratorError, FileNotFoundError) as exc:
+    except (
+        InstanceError, io_cli.GeneratorError, FileNotFoundError,
+        ContractError, wide.TractabilityError, oracle.OracleLimitError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except InfeasibleError as exc:

@@ -12,7 +12,7 @@ import json
 import math
 import random
 
-from .model import InstanceError, StripInstance, build_graph, make_instance
+from .model import InstanceError, StripInstance, make_instance
 
 FORMAT = "strip-broadcast-1"
 GEN_SEP_TOL = 1e-6
@@ -221,7 +221,7 @@ def gen_bundle(n_strings: int, hops: int) -> StripInstance:
 def _check_bundle_adjacency(inst: StripInstance, n_strings: int, hops: int) -> None:
     """The generated coordinates must realize exactly the intended pattern."""
     rows = 2 * n_strings
-    graph = build_graph(inst)
+    graph = inst.graph
 
     def col_index(col: int, r: int) -> int:
         return 1 + (col - 1) * rows + r

@@ -181,14 +181,6 @@ class UnitDiskGraph:
     n: int
     adj: tuple[frozenset[int], ...]
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return j in self.adj[i]
-
-
-def build_graph(instance: StripInstance) -> UnitDiskGraph:
-    """Closed-disk adjacency: (p, q) is an edge iff dist(p, q) <= 1 exactly."""
-    return instance.graph
-
 
 def _sweep(pts: Sequence[Point]) -> tuple[UnitDiskGraph, bool]:
     """Adjacency and the fragile flag from one x-sorted sweep over the pairs.
@@ -250,11 +242,6 @@ class LevelPartition:
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
-
-
-def compute_levels(instance: StripInstance) -> LevelPartition:
-    """The BFS levels from the source that the instance keeps (``levels``)."""
-    return instance.levels
 
 
 def connected_levels(instance: StripInstance) -> LevelPartition:
@@ -432,7 +419,7 @@ def validate_broadcast(
     where only active points may relay (the endpoint itself may be inactive).
     The hop bound checked is the ``hops`` argument, else the instance's.
     """
-    graph = build_graph(instance)
+    graph = instance.graph
     if isinstance(candidate, BroadcastSet):
         active = set(candidate.active)
     else:

@@ -4,12 +4,11 @@ Subsets are enumerated in increasing cardinality and, within a cardinality,
 in lexicographic index order, so the first feasible subset found is both a
 minimum and the lexicographically smallest minimum.  Adjacency is kept as
 bitmasks; connectivity, domination, and the hop bound are all mask walks.
+Instances above ``max_n`` points (16 by default) raise OracleLimitError.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from itertools import combinations
 
 from .model import (
@@ -17,22 +16,12 @@ from .model import (
     InfeasibleError,
     StripInstance,
     UnitDiskGraph,
-    build_graph,
     make_broadcast_set,
 )
 
 
 class OracleLimitError(RuntimeError):
-    """Instance exceeds the oracle's size or time budget."""
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    max_n: int = 16
-    time_budget: float | None = None  # seconds per instance
-
-
-DEFAULT_CONFIG = OracleConfig()
+    """Instance has more points than the oracle's ``max_n``."""
 
 
 def _masks(graph: UnitDiskGraph) -> tuple[list[int], list[int]]:
@@ -95,13 +84,14 @@ def _hops_within(
 def brute_min_broadcast(
     instance: StripInstance,
     hops: int | None = None,
-    config: OracleConfig = DEFAULT_CONFIG,
+    *,
+    max_n: int = 16,
 ) -> BroadcastSet:
     """Minimum broadcast set containing the source, optionally hop-bounded."""
     n = instance.n
-    if n > config.max_n:
-        raise OracleLimitError(f"oracle refuses n={n} > max_n={config.max_n}")
-    nbr, closed = _masks(build_graph(instance))
+    if n > max_n:
+        raise OracleLimitError(f"oracle refuses n={n} > max_n={max_n}")
+    nbr, closed = _masks(instance.graph)
     full = (1 << n) - 1
     src = instance.source
     bound = hops if hops is not None else instance.hops
@@ -116,12 +106,9 @@ def brute_min_broadcast(
             f"even the all-active set needs more than {bound} hops"
         )
 
-    deadline = None if config.time_budget is None else time.monotonic() + config.time_budget
     others = [i for i in range(n) if i != src]
     for k in range(0, n):
         for extra in combinations(others, k):
-            if deadline is not None and time.monotonic() > deadline:
-                raise OracleLimitError("oracle time budget exceeded")
             subset = 1 << src
             for i in extra:
                 subset |= 1 << i

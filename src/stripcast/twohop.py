@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add
-from typing import Sequence
 
 from .model import (
     BroadcastSet,
@@ -269,112 +268,3 @@ def solve_two_hop(instance: StripInstance) -> BroadcastSet:
         )
     return result
 
-
-# --- test instrumentation: boundary sequence and star shape ----------------
-
-
-def _ray_exit(
-    s: Point, direction: tuple[float, float], centers: Sequence[tuple[int, Point]]
-) -> tuple[float, list[int]]:
-    """Leave-point of the ray from s through the union of unit disks.
-
-    Returns (t_exit, indices of disks whose boundary passes through it).
-    The ray is parametrized s + t * direction with |direction| = 1.
-    """
-    spans = []
-    for idx, c in centers:
-        # |s + t d - c|^2 = 1
-        fx = s.x - c.x
-        fy = s.y - c.y
-        b = fx * direction[0] + fy * direction[1]
-        cc = fx * fx + fy * fy - 1.0
-        disc = b * b - cc
-        if disc < 0.0:
-            continue
-        r = math.sqrt(disc)
-        spans.append((-b - r, -b + r, idx))
-    reach = 0.0
-    grown = True
-    while grown:
-        grown = False
-        for t0, t1, _ in spans:
-            if t0 <= reach < t1:
-                reach = t1
-                grown = True
-    owners = [idx for t0, t1, idx in spans if t1 == reach]
-    return reach, owners
-
-
-def boundary_sequence(instance: StripInstance, active: BroadcastSet) -> list[int]:
-    """Deduplicated circular sequence of boundary owners around the source.
-
-    For each outside point in CCW order, shoot a ray from the source through
-    it and record which active disk's boundary the ray exits the union at
-    (ties by smallest index).  Consecutive duplicates are merged circularly.
-    """
-    pts = instance.points
-    s = instance.source_point
-    outside = sorted(
-        outside_source_disk(instance),
-        key=lambda i: (_ccw_angle(s, pts[i]), dist2(pts[i], s), i),
-    )
-    centers = [(i, pts[i]) for i in active.active]
-    seq = []
-    for q in outside:
-        d = math.sqrt(dist2(pts[q], s))
-        direction = ((pts[q].x - s.x) / d, (pts[q].y - s.y) / d)
-        _, owners = _ray_exit(s, direction, centers)
-        if not owners:
-            raise AssertionError(f"ray through point {q} never inside the union")
-        seq.append(min(owners))
-    dedup: list[int] = []
-    for v in seq:
-        if not dedup or dedup[-1] != v:
-            dedup.append(v)
-    while len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
-
-
-def sigma_properties_ok(sigma: list[int]) -> bool:
-    """Each owner appears at most twice and no two owners interleave."""
-    from collections import Counter
-
-    counts = Counter(sigma)
-    if any(v > 2 for v in counts.values()):
-        return False
-    pos: dict[int, list[int]] = {}
-    for i, v in enumerate(sigma):
-        pos.setdefault(v, []).append(i)
-    doubles = [v for v, ps in pos.items() if len(ps) == 2]
-    for x in doubles:
-        a, b = pos[x]
-        for y in doubles:
-            if y == x:
-                continue
-            c, d = pos[y]
-            inside_c = a < c < b
-            inside_d = a < d < b
-            if inside_c != inside_d:
-                return False
-    return True
-
-
-def star_shape_ok(
-    instance: StripInstance, active: BroadcastSet, rng, samples: int = 1000
-) -> bool:
-    """Sampled check: segments from the source into the union stay inside it."""
-    pts = instance.points
-    s = instance.source_point
-    centers = [pts[i] for i in active.active]
-    for _ in range(samples):
-        c = centers[rng.randrange(len(centers))]
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        rad = math.sqrt(rng.uniform(0.0, 1.0))
-        z = Point(c.x + rad * math.cos(ang), c.y + rad * math.sin(ang))
-        for step in range(1, 21):
-            t = step / 20.0
-            m = Point(s.x + t * (z.x - s.x), s.y + t * (z.y - s.y))
-            if all(dist2(m, ctr) > 1.0 for ctr in centers):
-                return False
-    return True

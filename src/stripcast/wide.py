@@ -16,6 +16,12 @@ A class with no representative in the leading slabs can never reconnect, so
 such states are dropped - except when the class is the only one, which covers
 solutions whose actives end before the strip does.  Acceptance at the final
 anchor requires at most one class and all input points dominated.
+
+Every state tries every fresh subset, so the fill is bounded by WINDOW_CAP
+points per 2-by-w window; a window holding more raises TractabilityError.
+The paper's density bound ``mu`` (some optimum has at most mu(w) actives in
+any 2-by-w window) is checked against oracle optima but not used by the fill:
+under the cap it is vacuous at w >= 1, where mu(w) >= 32.
 """
 
 from __future__ import annotations
@@ -30,19 +36,20 @@ from .model import (
     InfeasibleError,
     StripInstance,
     UnitDiskGraph,
-    build_graph,
     connected_levels,
     make_broadcast_set,
     validate_broadcast,
 )
 
+WINDOW_CAP = 16
+
 
 class TractabilityError(RuntimeError):
-    """A window holds more candidate points than the configured cap."""
+    """A window holds more candidate points than WINDOW_CAP."""
 
 
 def mu(width: float) -> int:
-    """Density cap: max actives of some optimum inside any 2-by-w window."""
+    """The paper's density bound on some optimum's actives in a 2-by-w window."""
     if width <= 0:
         raise ContractError("width must be positive")
     return math.floor(32.0 * width / math.sqrt(3.0) + 14.0)
@@ -108,28 +115,22 @@ def _merge(
     return tuple(out)
 
 
-def _point_groups(indices: Iterable[int], closed: Sequence[int]):
-    return [(1 << i, closed[i]) for i in indices]
-
-
-def _subsets(items: list[int], max_extra: int):
-    for r in range(0, min(len(items), max_extra) + 1):
-        yield from combinations(items, r)
-
-
-def _fresh_subsets(pool: int, max_extra: int, closed: Sequence[int]):
-    """The pool's subsets in ``_subsets`` order, each as
-    ``(mask, cover mask, size, its classes as (members, cover) groups)``."""
+def _fresh_subsets(pool: int, closed: Sequence[int]):
+    """The pool's subsets by size, then lexicographically (the empty subset
+    first), each as ``(mask, cover mask, size, its classes as (members,
+    cover) groups)``."""
+    items = _bits(pool)
     out = []
-    for extra in _subsets(_bits(pool), max_extra):
-        own = _merge((), _point_groups(extra, closed))
-        groups = tuple((c, _cover(c, closed)) for c in own)
-        mask = _mask(extra)
-        out.append((mask, _cover(mask, closed), len(extra), groups))
+    for size in range(len(items) + 1):
+        for extra in combinations(items, size):
+            own = _merge((), ((1 << i, closed[i]) for i in extra))
+            groups = tuple((c, _cover(c, closed)) for c in own)
+            mask = _mask(extra)
+            out.append((mask, _cover(mask, closed), size, groups))
     return out
 
 
-def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
+def solve_wide(instance: StripInstance) -> BroadcastSet:
     """Minimum broadcast set on a strip of any width."""
     if instance.width is None:
         raise ContractError("the window DP requires a finite strip width")
@@ -137,7 +138,6 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
     pts = instance.points
     n = instance.n
     src = instance.source
-    density = mu(instance.width)
     k_final = math.ceil(max(abs(p.x) for p in pts))
 
     for k in range(k_final + 1):
@@ -146,12 +146,12 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
             (-k - 1.0, -k + 1.0, f"[{-k - 1}, {-k + 1}]"),
         ):
             load = sum(1 for p in pts if lo <= p.x <= hi)
-            if load > cap:
+            if load > WINDOW_CAP:
                 raise TractabilityError(
-                    f"window {name} holds {load} candidate points (cap {cap})"
+                    f"window {name} holds {load} candidate points (cap {WINDOW_CAP})"
                 )
 
-    closed = _closed_masks(build_graph(instance))
+    closed = _closed_masks(instance.graph)
     window = [
         _mask(i for i in range(n) if _in_window(pts[i].x, k))
         for k in range(k_final + 1)
@@ -161,16 +161,14 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
     src_bit = 1 << src
     must_cover = _mask(i for i in range(n) if pts[i].x == 0.0)
     states: dict[tuple, tuple[int, tuple | None]] = {}
-    for extra, cover, size, groups in _fresh_subsets(
-        window[0] & ~src_bit, density - 1, closed
-    ):
+    for extra, cover, size, groups in _fresh_subsets(window[0] & ~src_bit, closed):
         if must_cover & ~(cover | closed[src]):
             continue
         states[(src_bit | extra, _merge((src_bit,), groups))] = (1 + size, None)
 
     trail: list[dict[tuple, tuple[int, tuple | None]]] = [states]
     for k in range(1, k_final + 1):
-        subsets = _fresh_subsets(window[k] & ~window[k - 1], density, closed)
+        subsets = _fresh_subsets(window[k] & ~window[k - 1], closed)
         newly_required = _mask(
             i
             for i in range(n)
@@ -183,11 +181,8 @@ def solve_wide(instance: StripInstance, cap: int = 16) -> BroadcastSet:
             carried = p_active & window[k]
             kept = [m for c in p_classes if (m := c & carried)]
             uncovered = newly_required & ~_cover(p_active, closed)
-            room = density - carried.bit_count()
             # once the frontier empties, fresh actives could never reconnect
             for extra, cover, size, groups in subsets if carried else subsets[:1]:
-                if size > room:
-                    break
                 if uncovered & ~cover:
                     continue
                 classes = _merge(kept, groups)

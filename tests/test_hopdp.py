@@ -20,14 +20,13 @@ from stripcast.io_cli import gen_bundle, gen_random_strip
 from stripcast.model import (
     ContractError,
     InfeasibleError,
-    compute_levels,
     dist2,
     make_broadcast_set,
     make_instance,
     validate_broadcast,
 )
 from stripcast.narrow import solve_narrow
-from stripcast.oracle import OracleConfig, brute_min_broadcast
+from stripcast.oracle import brute_min_broadcast
 from stripcast.twohop import solve_two_hop
 from test_wide import _lattice_ulp_strip_corpus
 
@@ -50,7 +49,7 @@ def one_sided_best(inst):
     """The right side table of a one-sided instance (source leftmost), which
     holds every point, and the smaller valid set of its arborescence and the
     path-like solution at h = depth."""
-    h = compute_levels(inst).depth
+    h = inst.levels.depth
     _, table = _side_tables(inst, build_level_dag(inst))
     src = inst.source
     candidates = []
@@ -127,7 +126,7 @@ def two_interleaved_paths():
 
 def test_interleaved_paths_dag_structure():
     inst = two_interleaved_paths()
-    part = compute_levels(inst)
+    part = inst.levels
     assert [int(part.level[i]) for i in range(6)] == [0, 1, 1, 2, 2, 3]
     dag = build_level_dag(inst)
     assert dag.parents[5] == (3, 4)
@@ -171,7 +170,7 @@ def test_one_sided_matches_oracle():
         n = 4 + seed % 7
         w = (0.3, 0.6, 0.86)[seed % 3]
         inst = one_sided(n, w, seed + 6000)
-        part = compute_levels(inst)
+        part = inst.levels
         if part.unreachable or part.depth < 1:
             continue
         table, got = one_sided_best(inst)
@@ -206,7 +205,7 @@ def test_second_points_fork_has_both_children():
     # level-1 children appear; enumerated by hand: the only minimum
     # arborescence is {source->1->3, source->2->4}
     inst = y_fork()
-    part = compute_levels(inst)
+    part = inst.levels
     assert part.depth == 2
     table, got = one_sided_best(inst)
     assert got.size == 3
@@ -229,7 +228,7 @@ def test_two_sided_mirror_symmetry():
         pts.append((i * 0.95, 0.25))
         pts.append((-i * 0.95, 0.25))
     inst = make_instance(pts, width=0.5, warn_fragile=False)
-    part = compute_levels(inst)
+    part = inst.levels
     _, one_got = one_sided_best(chain(4))
     got = two_sided(inst)
     assert got.size == 2 * one_got.size - 1
@@ -251,7 +250,7 @@ def test_two_sided_counts_a_shared_child_once():
         width=0.86,
         warn_fragile=False,
     )
-    part = compute_levels(inst)
+    part = inst.levels
     assert [part.level[i] for i in range(4)] == [0, 1, 2, 2]
     dag = build_level_dag(inst)
     left, right = _side_tables(inst, dag)
@@ -271,7 +270,7 @@ def test_two_sided_matches_oracle():
         n = 4 + seed % 7
         w = (0.3, 0.6, 0.86)[seed % 3]
         inst = gen_random_strip(n, w, seed + 7000, min_sep=0.05)
-        part = compute_levels(inst)
+        part = inst.levels
         if part.unreachable or part.depth < 2:
             continue
         h = part.depth
@@ -355,7 +354,7 @@ def test_suffix_pair_table_recurrence_at_benchmark_scale():
     cells = 0
     for seed in (1, 2, 4, 20):
         inst = gen_random_strip(50, 0.86, seed, min_sep=0.05, span=1.5)
-        part = compute_levels(inst)
+        part = inst.levels
         assert not part.unreachable and part.depth == 2
         dag = build_level_dag(inst)
         left, right = _side_tables(inst, dag)
@@ -388,14 +387,14 @@ def test_mirrored_bundle_two_sided_meets_the_formula(strings, hops):
     # both sides need one full row per string: 1 + 2 * strings * (hops - 1)
     inst = mirrored_bundle(strings, hops)
     assert inst.n == 1 + 2 * strings * (2 * hops - 1)
-    assert compute_levels(inst).depth == hops
+    assert inst.levels.depth == hops
     want = 1 + 2 * strings * (hops - 1)
     got = two_sided(inst)
     assert validate_broadcast(inst, got, hops=hops).valid
     assert got.size == want
     assert solve_hop(inst, hops).size == want
     if inst.n == 21:
-        oracle = brute_min_broadcast(inst, hops=hops, config=OracleConfig(max_n=21))
+        oracle = brute_min_broadcast(inst, hops=hops, max_n=21)
         assert oracle.size == want == 9
 
 
@@ -406,7 +405,7 @@ def _deep_random_strips():
         w = (0.3, 0.6, 0.86)[seed % 3]
         span = 1.0 + (seed // 3 % 5) * 0.5
         inst = gen_random_strip(n, w, seed, min_sep=0.05, span=span)
-        part = compute_levels(inst)
+        part = inst.levels
         if part.unreachable or part.depth < 3:
             continue
         yield seed, inst, part.depth
@@ -443,7 +442,7 @@ def test_solve_hop_at_depth_two_is_the_two_hop_set():
     # set, and no other candidate structure finds a smaller valid set
     for n, w, seed in ((40, 0.86, 3), (50, 0.6, 5), (60, 0.86, 4), (45, 0.3, 5)):
         inst = gen_random_strip(n, w, seed, min_sep=0.05, span=1.5)
-        part = compute_levels(inst)
+        part = inst.levels
         assert not part.unreachable and part.depth == 2
         got = solve_hop(inst, 2)
         assert got.active == solve_two_hop(inst).active
@@ -462,7 +461,7 @@ def test_solve_hop_at_depth_two_is_the_two_hop_set():
 def test_solve_hop_solves_large_depth_two_strip():
     # n = 401 at t = h = 2 goes to the 2-hop solver, not the level DAG
     inst = gen_random_strip(401, 0.6, 0, min_sep=0.01, span=1.1)
-    assert compute_levels(inst).depth == 2
+    assert inst.levels.depth == 2
     got = solve_hop(inst, 2)
     assert got.size == 3
     assert validate_broadcast(inst, got, hops=2).valid
@@ -474,7 +473,7 @@ def test_solve_hop_fragile_lattice_every_depth():
     narrow_widths = (0.5, 0.75, math.sqrt(3) / 2)
     for coords, w in _lattice_ulp_strip_corpus(widths=narrow_widths):
         inst = make_instance(coords, width=w, warn_fragile=False)
-        part = compute_levels(inst)
+        part = inst.levels
         if part.unreachable or part.depth == 0:
             continue
         h = part.depth
@@ -509,7 +508,7 @@ def test_solve_hop_computes_covering_sets_at_most_once(monkeypatch):
         solve_hop(inst, h)
         assert len(calls) == 1, seed
     inst = gen_random_strip(40, 0.86, 3, min_sep=0.05, span=1.5)
-    assert compute_levels(inst).depth == 2
+    assert inst.levels.depth == 2
     calls.clear()
     solve_hop(inst, 2)
     assert calls == []
@@ -520,7 +519,7 @@ def test_bundle_of_403_points_solves_at_the_formula():
     # tables grow with the last level (2 points here), not with n
     inst = gen_bundle(2, 101)
     assert inst.n == 403
-    part = compute_levels(inst)
+    part = inst.levels
     assert not part.unreachable and part.depth == 101
     assert not validate_broadcast(inst, solve_narrow(inst), hops=101).valid
     got = solve_hop(inst, 101)
@@ -535,7 +534,7 @@ def test_narrow_set_within_the_bound_is_returned_before_the_dp(monkeypatch):
 
     monkeypatch.setattr(hopdp, "build_level_dag", no_dag)
     inst = gen_random_strip(500, 0.6, 70000, min_sep=0.05, span=20)
-    part = compute_levels(inst)
+    part = inst.levels
     assert not part.unreachable and part.depth >= 3
     got = solve_hop(inst, part.depth)
     assert got == solve_narrow(inst)
@@ -564,7 +563,7 @@ def test_solve_hop_no_bound_equals_narrow():
 def test_solve_hop_monotone_in_h():
     for seed in range(40):
         inst = gen_random_strip(4 + seed % 6, 0.6, seed + 8800, min_sep=0.05)
-        part = compute_levels(inst)
+        part = inst.levels
         if part.unreachable:
             continue
         sizes = []
@@ -595,7 +594,7 @@ def test_active_level_spread_one_sided():
     for seed in range(60):
         n = 4 + seed % 7
         inst = one_sided(n, 0.6, seed + 11000)
-        part = compute_levels(inst)
+        part = inst.levels
         if part.unreachable or part.depth < 2:
             continue
         h = part.depth
@@ -615,7 +614,7 @@ def test_active_levels_reachable_tightly():
         n = 4 + seed % 7
         w = (0.3, 0.6)[seed % 2]
         inst = gen_random_strip(n, w, seed + 12000, min_sep=0.05)
-        part = compute_levels(inst)
+        part = inst.levels
         if part.unreachable:
             continue
         h = part.depth
@@ -625,9 +624,7 @@ def test_active_levels_reachable_tightly():
             got = solve_hop(inst, h)
         except InfeasibleError:
             continue
-        from stripcast.model import build_graph
-
-        graph = build_graph(inst)
+        graph = inst.graph
         active = set(got.active)
         dist = {inst.source: 0}
         queue = deque([inst.source])
@@ -651,7 +648,7 @@ def build_pred_arborescence(instance, active):
     Raises ContractError naming the point when no eligible active disk covers
     it (possible on non-optimal inputs).
     """
-    part = compute_levels(instance)
+    part = instance.levels
     pts = instance.points
     act = set(active.active)
     t = part.depth
@@ -707,7 +704,7 @@ def build_pred_arborescence(instance, active):
 
 def arborescence_is_nice(instance, arcs):
     """Same-side arcs between the same two levels must preserve y-order."""
-    part = compute_levels(instance)
+    part = instance.levels
     pts = instance.points
     by_group = {}
     for u, v in arcs:
@@ -738,7 +735,7 @@ def test_pred_arborescence_nice_on_oracle_optima():
         n = 4 + seed % 7
         w = (0.3, 0.6, 0.86)[seed % 3]
         inst = gen_random_strip(n, w, seed + 13000, min_sep=0.05)
-        part = compute_levels(inst)
+        part = inst.levels
         if part.unreachable or part.depth < 2:
             continue
         try:

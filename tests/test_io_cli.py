@@ -19,7 +19,7 @@ from stripcast.io_cli import (
     save_instance,
     serialize_instance,
 )
-from stripcast.model import build_graph, compute_levels, dist2, make_instance
+from stripcast.model import dist2, make_instance
 from stripcast.oracle import brute_min_broadcast
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -152,7 +152,7 @@ def test_bundle_counts_and_levels():
     assert inst.n == 4
     inst = gen_bundle(2, 3)
     assert inst.n == 11
-    part = compute_levels(inst)
+    part = inst.levels
     assert part.depth == 3
 
 
@@ -172,10 +172,10 @@ def test_bundle_rejects_oversize():
 
 def test_chain_generator():
     inst = gen_chain(5, width=0.6)
-    g = build_graph(inst)
+    g = inst.graph
     for i in range(4):
-        assert g.adjacent(i, i + 1)
-    assert not g.adjacent(0, 2)
+        assert i + 1 in g.adj[i]
+    assert 2 not in g.adj[0]
 
 
 def test_svg_is_valid_and_counts_elements(tmp_path):
@@ -230,6 +230,30 @@ def test_cli_solve_error_exit_code(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "kind, extra, needle",
+    [
+        ("wide", [], "holds 17 candidate points (cap 16)"),
+        ("wide", ["--algo", "brute"], "oracle refuses n=30 > max_n=16"),
+        ("wide", ["--algo", "narrow"], "requires a strip of width <= sqrt(3)/2"),
+        ("narrow", ["--hops", "0"], "hop bound must be >= 1"),
+    ],
+    ids=["window-cap", "oracle-size", "narrow-on-wide", "hops-zero"],
+)
+def test_cli_typed_refusal_is_one_error_line(tmp_path, capsys, kind, extra, needle):
+    if kind == "wide":
+        inst = gen_random_strip(30, 1.0, 0, min_sep=0.05, span=2)
+    else:
+        inst = gen_chain(5, width=0.6)
+    path = str(tmp_path / "inst.json")
+    save_instance(inst, path)
+    code, out = run_cli(["solve", path, *extra])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and needle in err
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_auto_vs_brute(tmp_path):
     for seed in range(20):
         n = 3 + seed % 8
@@ -266,6 +290,40 @@ def test_cli_verify(tmp_path):
     assert "dominating: True" in out
     code, out = run_cli(["verify", path, "--set", "0,1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize(
+    "value, needle",
+    [
+        ("-1", "index -1 out of range 0..4"),
+        ("7", "index 7 out of range 0..4"),
+        ("a,b", "comma-separated index list"),
+    ],
+    ids=["negative", "past-the-end", "not-integers"],
+)
+def test_cli_set_is_checked(tmp_path, capsys, command, value, needle):
+    path = str(tmp_path / "chain.json")
+    save_instance(gen_chain(5, width=0.6), path)
+    out_svg = tmp_path / "out.svg"
+    args = [command, path, "--set", value]
+    if command == "render":
+        args += ["-o", str(out_svg)]
+    code, _ = run_cli(args)
+    assert code == 1
+    assert needle in capsys.readouterr().err
+    assert not out_svg.exists()
+
+
+@pytest.mark.parametrize("hops", ["-3", "0"])
+def test_cli_gen_rejects_hops_below_one(tmp_path, capsys, hops):
+    path = tmp_path / "chain.json"
+    code, _ = run_cli(
+        ["gen", "--kind", "chain", "--n", "3", "--hops", hops, "-o", str(path)]
+    )
+    assert code == 1
+    assert "--hops must be a positive integer" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_cli_gen_solve_render(tmp_path):

@@ -12,8 +12,6 @@ from stripcast.model import (
     InstanceError,
     NARROW_LIMIT,
     Point,
-    build_graph,
-    compute_levels,
     dist2,
     make_broadcast_set,
     make_instance,
@@ -35,17 +33,16 @@ def chain(k, spacing=1.0, width=0.5):
 
 def test_boundary_distance_is_adjacent():
     inst = make_instance([(0.0, 0.0), (1.0, 0.0)], warn_fragile=False)
-    g = build_graph(inst)
-    assert g.adjacent(0, 1)
+    assert 1 in inst.graph.adj[0]
 
 
 def test_single_point_graph_has_no_edges():
-    g = build_graph(make_instance([(0.0, 0.0)]))
+    g = make_instance([(0.0, 0.0)]).graph
     assert g.n == 1 and g.adj[0] == frozenset()
 
 
 def test_chain_adjacency_exact():
-    g = build_graph(chain(3))
+    g = chain(3).graph
     assert g.adj[0] == frozenset({1})
     assert g.adj[1] == frozenset({0, 2})
     assert g.adj[2] == frozenset({1})
@@ -53,7 +50,7 @@ def test_chain_adjacency_exact():
 
 def test_graph_symmetry_random():
     inst = gen_random_strip(30, 0.7, seed=11, min_sep=0.01)
-    g = build_graph(inst)
+    g = inst.graph
     for i in range(g.n):
         for j in g.adj[i]:
             assert i in g.adj[j]
@@ -143,7 +140,7 @@ def test_sweep_matches_all_pairs_definition():
             loud = make_instance(coords, width=w)
         warned = any(issubclass(c.category, UserWarning) for c in caught)
         for got in (inst, loud):
-            if build_graph(got).adj != want or got.fragile != fragile:
+            if got.graph.adj != want or got.fragile != fragile:
                 mismatches.append(coords)
         if warned != fragile:
             mismatches.append(coords)
@@ -155,7 +152,7 @@ def test_graph_does_not_change_identity():
     coords = [(0.0, 0.2), (0.7, 0.4), (1.5, 0.1)]
     built = make_instance(coords, width=0.5, warn_fragile=False)
     fresh = make_instance(coords, width=0.5, warn_fragile=False)
-    assert build_graph(built).adj[1] == frozenset({0, 2})
+    assert built.graph.adj[1] == frozenset({0, 2})
     assert built == fresh and hash(built) == hash(fresh)
     assert {built: "x"}[fresh] == "x"
 
@@ -198,7 +195,7 @@ def test_one_sweep_per_cli_solve(tmp_path, monkeypatch):
 
 
 def test_levels_chain():
-    part = compute_levels(chain(4, spacing=0.95))
+    part = chain(4, spacing=0.95).levels
     assert [part.level[i] for i in range(4)] == [0, 1, 2, 3]
     assert part.levels[0] == (0,)
     assert part.depth == 3
@@ -206,14 +203,14 @@ def test_levels_chain():
 
 def test_levels_unreachable():
     inst = make_instance([(0.0, 0.2), (10.0, 0.2)], width=0.5, warn_fragile=False)
-    part = compute_levels(inst)
+    part = inst.levels
     assert part.level[1] == math.inf
     assert part.unreachable == (1,)
 
 
 def test_levels_bundle_columns():
     inst = gen_bundle(2, 3)
-    part = compute_levels(inst)
+    part = inst.levels
     rows = 4
     for col in (1, 2):
         for r in range(rows):
@@ -225,7 +222,7 @@ def test_level_side_split():
     inst = make_instance(
         [(0.0, 0.25), (0.9, 0.25), (-0.9, 0.25)], width=0.5, warn_fragile=False
     )
-    part = compute_levels(inst)
+    part = inst.levels
     assert part.plus[1] == (1,)
     assert part.minus[1] == (2,)
 
@@ -242,9 +239,9 @@ def test_levels_kept_with_the_instance(monkeypatch):
     # t < h (solve_narrow) and t = h >= 3 (DAG, side tables, candidates)
     for inst, h in ((chain(4, spacing=0.95), 5), (chain(5, spacing=0.95), 4)):
         searches.clear()
-        part = compute_levels(inst)
+        part = inst.levels
         solve_hop(inst, h)
-        assert compute_levels(inst) is part and inst.levels is part
+        assert inst.levels is part
         assert searches == [inst.n]
 
 
@@ -316,5 +313,4 @@ def test_broadcast_set_requires_source():
 
 def test_coincident_points_are_adjacent():
     inst = make_instance([(0.0, 0.1), (0.0, 0.1)], width=0.3, warn_fragile=False)
-    g = build_graph(inst)
-    assert g.adjacent(0, 1)
+    assert 1 in inst.graph.adj[0]

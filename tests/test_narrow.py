@@ -7,7 +7,6 @@ from stripcast.model import (
     ContractError,
     CoveringSets,
     InfeasibleError,
-    build_graph,
     dist2,
     make_instance,
     outside_source_disk,
@@ -244,9 +243,9 @@ def test_backward_levels_disconnected_side():
 
 
 def _bfs_backward_levels(inst, first):
-    # multi-source BFS over all points in build_graph(inst), stopped at the
+    # multi-source BFS over all points in inst.graph, stopped at the
     # first level with a point in the closed source disk
-    adj = build_graph(inst).adj
+    adj = inst.graph.adj
     sp = inst.source_point
     levels = [tuple(first)]
     seen = set(first)

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from stripcast.acceptance import gen_planar
+from stripcast.acceptance import boundary_sequence, gen_planar, sigma_properties_ok
 from stripcast.model import (
     ContractError,
     InfeasibleError,
+    Point,
     dist2,
     make_instance,
     validate_broadcast,
@@ -20,11 +21,8 @@ from stripcast.twohop import (
     _rotated_prefix,
     _runs_after_prefix,
     angular_order,
-    boundary_sequence,
     cover_dp,
-    sigma_properties_ok,
     solve_two_hop,
-    star_shape_ok,
 )
 
 
@@ -501,6 +499,24 @@ def test_sigma_property_checker_rejects_bad_sequences():
     assert sigma_properties_ok([1, 2, 1, 3])
     assert not sigma_properties_ok([1, 1, 1])  # appears three times
     assert not sigma_properties_ok([1, 2, 1, 2])  # interleaved
+
+
+def star_shape_ok(instance, active, rng, samples):
+    """Sampled check: segments from the source into the union stay inside it."""
+    pts = instance.points
+    s = instance.source_point
+    centers = [pts[i] for i in active.active]
+    for _ in range(samples):
+        c = centers[rng.randrange(len(centers))]
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        rad = math.sqrt(rng.uniform(0.0, 1.0))
+        z = Point(c.x + rad * math.cos(ang), c.y + rad * math.sin(ang))
+        for step in range(1, 21):
+            t = step / 20.0
+            m = Point(s.x + t * (z.x - s.x), s.y + t * (z.y - s.y))
+            if all(dist2(m, ctr) > 1.0 for ctr in centers):
+                return False
+    return True
 
 
 def test_star_shape_sampled():

@@ -45,7 +45,7 @@ def test_solve_wide_candidate_cap():
     pts = [(0.01 * i, 0.5) for i in range(20)]
     inst = make_instance(pts, width=1.0, warn_fragile=False)
     with pytest.raises(TractabilityError):
-        solve_wide(inst, cap=16)
+        solve_wide(inst)
 
 
 def test_solve_wide_matches_oracle():
