@@ -11,10 +11,13 @@ from .model import (
     ContractError,
     InfeasibleError,
     InstanceError,
+    InternalError,
     LevelPartition,
     NARROW_LIMIT,
     Point,
+    StripcastError,
     StripInstance,
+    TractabilityError,
     UnitDiskGraph,
     ValidationReport,
     make_broadcast_set,
@@ -32,10 +35,13 @@ __all__ = [
     "ContractError",
     "InfeasibleError",
     "InstanceError",
+    "InternalError",
     "LevelPartition",
     "NARROW_LIMIT",
     "Point",
+    "StripcastError",
     "StripInstance",
+    "TractabilityError",
     "UnitDiskGraph",
     "ValidationReport",
     "brute_min_broadcast",

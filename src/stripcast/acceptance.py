@@ -2,7 +2,9 @@
 
 Each criterion is a zero-argument callable returning (ok, detail); the CLI
 ``bench`` subcommand and the test module run the same registry and print one
-PASS/FAIL line per criterion.  All corpora are seeded and deterministic.
+PASS/FAIL line per criterion, a criterion that raises a StripcastError
+failing with the error as its detail.  All corpora are seeded and
+deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from . import hopdp, io_cli, narrow, oracle, twohop, wide
 from .model import (
     BroadcastSet,
     InfeasibleError,
+    InstanceError,
+    InternalError,
     Point,
+    StripcastError,
     StripInstance,
     dist2,
     make_instance,
@@ -68,23 +73,23 @@ def gen_planar(n: int, seed: int) -> StripInstance:
     return make_instance(pts, source=0, warn_fragile=False)
 
 
+def _solved(fn, *args) -> BroadcastSet | None:
+    """``fn(*args)``, or None when it finds the instance infeasible."""
+    try:
+        return fn(*args)
+    except InfeasibleError:
+        return None
+
+
 def criterion_narrow_optimality():
     """200 narrow instances: solve_narrow equals the oracle exactly."""
     solved = 0
     for s, inst in _narrow_corpus(200, base_seed=0):
-        try:
-            got = narrow.solve_narrow(inst)
-            got_feasible = True
-        except InfeasibleError:
-            got_feasible = False
-        try:
-            want = oracle.brute_min_broadcast(inst)
-            want_feasible = True
-        except InfeasibleError:
-            want_feasible = False
-        if got_feasible != want_feasible:
+        got = _solved(narrow.solve_narrow, inst)
+        want = _solved(oracle.brute_min_broadcast, inst)
+        if (got is None) != (want is None):
             return False, f"seed {s}: feasibility disagrees"
-        if not got_feasible:
+        if got is None:
             continue
         report = validate_broadcast(inst, got)
         if not (report.is_dominating and report.is_connected):
@@ -169,19 +174,11 @@ def criterion_hop_optimality():
             h = min(5, max(2, part.depth))  # bias toward t = h
         else:
             h = 2 + s % 4
-        try:
-            got = hopdp.solve_hop(inst, h)
-            got_feasible = True
-        except InfeasibleError:
-            got_feasible = False
-        try:
-            want = oracle.brute_min_broadcast(inst, hops=h)
-            want_feasible = True
-        except InfeasibleError:
-            want_feasible = False
-        if got_feasible != want_feasible:
+        got = _solved(hopdp.solve_hop, inst, h)
+        want = _solved(oracle.brute_min_broadcast, inst, h)
+        if (got is None) != (want is None):
             return False, f"seed {s}: feasibility flags disagree"
-        if not got_feasible:
+        if got is None:
             infeasible += 1
             continue
         if not validate_broadcast(inst, got, hops=h).valid:
@@ -288,7 +285,7 @@ def boundary_sequence(instance: StripInstance, active: BroadcastSet) -> list[int
         direction = ((pts[q].x - s.x) / d, (pts[q].y - s.y) / d)
         _, owners = _ray_exit(s, direction, centers)
         if not owners:
-            raise AssertionError(f"ray through point {q} never inside the union")
+            raise InternalError(f"ray through point {q} never inside the union")
         seq.append(min(owners))
     dedup: list[int] = []
     for v in seq:
@@ -327,19 +324,11 @@ def criterion_two_hop():
     for s in range(200):
         n = 4 + s % 9
         inst = gen_planar(n, 70000 + s)
-        try:
-            got = twohop.solve_two_hop(inst)
-            got_feasible = True
-        except InfeasibleError:
-            got_feasible = False
-        try:
-            want = oracle.brute_min_broadcast(inst, hops=2)
-            want_feasible = True
-        except InfeasibleError:
-            want_feasible = False
-        if got_feasible != want_feasible:
+        got = _solved(twohop.solve_two_hop, inst)
+        want = _solved(oracle.brute_min_broadcast, inst, 2)
+        if (got is None) != (want is None):
             return False, f"seed {s}: feasibility disagrees"
-        if not got_feasible:
+        if got is None:
             continue
         if got.size != want.size:
             return False, f"seed {s}: size {got.size} != oracle {want.size}"
@@ -361,33 +350,22 @@ def criterion_wide():
         inst = io_cli.gen_random_strip(
             n, w, 80000 + s, min_sep=0.05, span=max(1.0, 0.2 * n)
         )
-        try:
-            got = wide.solve_wide(inst)
-            got_feasible = True
-        except InfeasibleError:
-            got_feasible = False
-        try:
-            want = oracle.brute_min_broadcast(inst)
-            want_feasible = True
-        except InfeasibleError:
-            want_feasible = False
-        if got_feasible != want_feasible:
+        got = _solved(wide.solve_wide, inst)
+        want = _solved(oracle.brute_min_broadcast, inst)
+        if (got is None) != (want is None):
             return False, f"seed {s}: feasibility disagrees"
-        if got_feasible:
+        if got is not None:
             if got.size != want.size:
                 return False, f"seed {s}: size {got.size} != oracle {want.size}"
             solved += 1
     agreed = 0
     for s, inst in _narrow_corpus(100, base_seed=90000):
-        try:
-            a = wide.solve_wide(inst)
-        except InfeasibleError:
-            try:
-                narrow.solve_narrow(inst)
-                return False, f"narrow seed {s}: wide infeasible, narrow not"
-            except InfeasibleError:
-                continue
-        b = narrow.solve_narrow(inst)
+        a = _solved(wide.solve_wide, inst)
+        b = _solved(narrow.solve_narrow, inst)
+        if (a is None) != (b is None):
+            return False, f"narrow seed {s}: feasibility disagrees"
+        if a is None:
+            continue
         if a.size != b.size:
             return False, f"narrow seed {s}: wide {a.size} != narrow {b.size}"
         agreed += 1
@@ -411,19 +389,8 @@ def criterion_geometric_invariants():
         w = WIDTHS_NARROW[s % 3]
         inst = io_cli.gen_random_strip(n, w, 100000 + s, min_sep=0.02)
         graph = inst.graph
-        part = inst.levels  # raises on an overlap violation
+        part = inst.levels  # ContractError on an overlap violation
         pts = inst.points
-        for i in range(1, len(part.levels)):
-            if part.plus[i] and part.plus[i - 1]:
-                if max(pts[j].x for j in part.plus[i - 1]) > min(
-                    pts[j].x for j in part.plus[i]
-                ) + 0.5:
-                    return False, f"seed {s}: level overlap bound violated"
-            if part.minus[i] and part.minus[i - 1]:
-                if min(pts[j].x for j in part.minus[i - 1]) < max(
-                    pts[j].x for j in part.minus[i]
-                ) - 0.5:
-                    return False, f"seed {s}: level overlap bound violated"
         # random connected pair: the path disks cover the slab between them
         reachable = [i for i in range(inst.n) if part.level[i] != math.inf]
         if len(reachable) < 2:
@@ -581,7 +548,7 @@ def run_suite(name: str = "all"):
     """Run one suite (or all); returns [(name, ok, detail)] and prints a table."""
     selected = [c for c in CRITERIA if name in ("all", c[0])]
     if not selected:
-        raise ValueError(
+        raise InstanceError(
             f"unknown suite {name!r}; choose from "
             + ", ".join(c[0] for c in CRITERIA)
         )
@@ -589,7 +556,10 @@ def run_suite(name: str = "all"):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for crit_name, fn in selected:
-            ok, detail = fn()
+            try:
+                ok, detail = fn()
+            except StripcastError as exc:
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
             results.append((crit_name, ok, detail))
             print(f"{'PASS' if ok else 'FAIL'}  {crit_name}: {detail}")
     return results

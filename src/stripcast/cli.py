@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 error (bad input, or a solver's typed refusal: a
-precondition, the window cap or the oracle's size limit), 2 infeasible
-instance - scripts need to tell infeasibility apart from failure.
+Exit codes: 0 success, 2 infeasible instance (scripts need to tell
+infeasibility apart from failure), 1 any other `StripcastError` or an
+unreadable file: bad input, a typed refusal (a precondition, a size cap, or
+`solve --algo` whose answer breaks the hop bound) or a failed self-check.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .model import (
     ContractError,
     InfeasibleError,
     InstanceError,
+    StripcastError,
     StripInstance,
     make_broadcast_set,
     validate_broadcast,
@@ -62,24 +64,19 @@ def run_solver(instance: StripInstance, algo: str, hops: int | None) -> Broadcas
     return result
 
 
-def _report_infeasible(exc: InfeasibleError) -> int:
-    print(f"infeasible: {exc.reason}")
-    if exc.witness:
-        print("witness: " + " ".join(str(i) for i in exc.witness))
-    return EXIT_INFEASIBLE
-
-
 def _cmd_solve(args) -> int:
     instance = io_cli.load_instance(args.file)
     hops = args.hops if args.hops is not None else instance.hops
-    try:
-        result = run_solver(instance, args.algo, hops)
-    except InfeasibleError as exc:
-        return _report_infeasible(exc)
+    result = run_solver(instance, args.algo, hops)
     report = validate_broadcast(instance, result, hops=hops)
+    hops_txt = "inf" if report.max_hops_needed == float("inf") else int(report.max_hops_needed)
+    if not report.valid:
+        raise ContractError(
+            f"--algo {args.algo} ignores the hop bound: its set needs "
+            f"{hops_txt} hops > {hops}"
+        )
     print(f"size {result.size}")
     print("active: " + " ".join(str(i) for i in result.active))
-    hops_txt = "inf" if report.max_hops_needed == float("inf") else int(report.max_hops_needed)
     print(
         f"valid: dominating={report.is_dominating} connected={report.is_connected} "
         f"max_hops={hops_txt}"
@@ -204,14 +201,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InstanceError, io_cli.GeneratorError, FileNotFoundError,
-        ContractError, wide.TractabilityError, oracle.OracleLimitError,
-    ) as exc:
+    except InfeasibleError as exc:
+        print(f"infeasible: {exc.reason}")
+        if exc.witness:
+            print("witness: " + " ".join(str(i) for i in exc.witness))
+        return EXIT_INFEASIBLE
+    except (StripcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except InfeasibleError as exc:
-        return _report_infeasible(exc)
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ from .model import (
     BroadcastSet,
     ContractError,
     InfeasibleError,
+    InternalError,
     LevelPartition,
     StripInstance,
     connected_levels,
@@ -295,8 +296,9 @@ def _two_sided(
     dag: LevelDag,
     left: OneSidedTable,
     right: OneSidedTable,
-) -> BroadcastSet:
-    """The two-sided arborescence over already filled side tables.
+) -> BroadcastSet | None:
+    """The two-sided arborescence over already filled side tables, or None
+    when no such arborescence spans the last level (G(1, 1) is INF).
 
     The traceback follows the winning first pairs from G(1, 1); each pair's
     child is its first cheapest level-1 point.
@@ -306,7 +308,7 @@ def _two_sided(
     lrows, rrows = _cost_rows(left, level1), _cost_rows(right, level1)
     g, pick = _suffix_pairs(lrows, rrows)
     if g[1][1] == INF:
-        raise InfeasibleError("no two-sided arborescence spans the last level")
+        return None
     out: set[int] = {instance.source}
     i = k = 1
     while (split := pick[i][k]) is not None:
@@ -331,9 +333,7 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
         raise ContractError("hop bound must be >= 1")
     t = connected_levels(instance).depth
     if t > h:
-        raise InfeasibleError(
-            f"infeasible: points at hop level t={t} exceed the bound h={h}"
-        )
+        raise InfeasibleError(f"points at hop level t={t} exceed the bound h={h}")
     if t < h:
         return narrow_mod.solve_narrow(instance)
     if t <= 2:
@@ -359,18 +359,11 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
     left, right = _side_tables(instance, dag)
     consider(_mixed_candidate(instance, right, "+"))
     consider(_mixed_candidate(instance, left, "-"))
-    try:
-        consider(_two_sided(instance, dag, left, right))
-    except InfeasibleError:
-        pass
+    consider(_two_sided(instance, dag, left, right))
 
     if not candidates:
-        raise AssertionError("internal error: no feasible hop-bounded candidate")
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.size < best.size:
-            best = cand
-    return best
+        raise InternalError("no feasible hop-bounded candidate")
+    return min(candidates, key=lambda c: c.size)
 
 
 def _mixed_candidate(

@@ -12,7 +12,7 @@ import json
 import math
 import random
 
-from .model import InstanceError, StripInstance, make_instance
+from .model import InstanceError, StripcastError, StripInstance, make_instance
 
 FORMAT = "strip-broadcast-1"
 GEN_SEP_TOL = 1e-6
@@ -106,7 +106,11 @@ def parse_instance(text: str) -> StripInstance:
 
 def load_instance(path: str) -> StripInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from exc
+    return parse_instance(text)
 
 
 def save_instance(instance: StripInstance, path: str, meta: dict | None = None) -> None:
@@ -117,7 +121,7 @@ def save_instance(instance: StripInstance, path: str, meta: dict | None = None) 
 # --- generators -------------------------------------------------------------
 
 
-class GeneratorError(RuntimeError):
+class GeneratorError(StripcastError, RuntimeError):
     """The generator could not satisfy its separation constraints."""
 
 

@@ -7,7 +7,12 @@ on narrow strips, its right-/left-covering sets, each computed on first use,
 and every solver reads those copies.  Levels, covering sets and the points
 outside the source disk (`outside_source_disk`) are all read from the graph,
 and `connected_levels` is the one place a disconnected instance is refused.
-Conventions:
+
+Every error the library raises on purpose is a `StripcastError`: bad input
+(`InstanceError`), an instance with no broadcast set (`InfeasibleError`), a
+typed refusal (`ContractError` outside a precondition, `TractabilityError`
+past a size cap) or a failed self-check (`InternalError`, from
+`check_answer`).  Conventions:
 
 * instances are normalized on construction: the source is translated to x = 0
   and coordinates are rescaled so the transmission radius is 1;
@@ -36,11 +41,18 @@ INF = math.inf
 FRAGILE_TOL = 1e-9
 
 
-class InstanceError(ValueError):
+class StripcastError(Exception):
+    """Base of every error the library raises on purpose.
+
+    Anything else escaping a solver is a bug outside the failure contract.
+    """
+
+
+class InstanceError(StripcastError, ValueError):
     """Malformed input: bad coordinates, indices, widths, candidate sets."""
 
 
-class InfeasibleError(Exception):
+class InfeasibleError(StripcastError):
     """The instance admits no broadcast set under the given constraints."""
 
     def __init__(self, reason: str, witness: tuple = ()):
@@ -49,8 +61,16 @@ class InfeasibleError(Exception):
         self.witness = tuple(witness)
 
 
-class ContractError(RuntimeError):
+class ContractError(StripcastError, RuntimeError):
     """An operation was invoked outside its stated precondition."""
+
+
+class TractabilityError(StripcastError, RuntimeError):
+    """The instance is past a solver's size cap (a window or the oracle)."""
+
+
+class InternalError(StripcastError):
+    """A solver's self-check failed: its answer is not a broadcast set."""
 
 
 @dataclass(frozen=True, order=True)
@@ -464,3 +484,18 @@ def validate_broadcast(
     hops_ok = None if bound is None else max_hops <= bound
     witnesses = tuple(uncovered + stranded)
     return ValidationReport(is_dominating, is_connected, max_hops, hops_ok, witnesses)
+
+
+def check_answer(
+    instance: StripInstance, result: BroadcastSet, hops: int | None = None
+) -> BroadcastSet:
+    """A solver's self-check: ``result`` if it dominates, is connected and,
+    when ``hops`` is given, meets that bound (the instance's own is not read);
+    else InternalError with the witnesses."""
+    report = validate_broadcast(instance, result, hops=hops)
+    if report.is_dominating and report.is_connected and (hops is None or report.hops_ok):
+        return result
+    raise InternalError(
+        f"solver produced an invalid set {result.active}: witnesses "
+        f"{report.witnesses}, max_hops={report.max_hops_needed}, bound {hops}"
+    )

@@ -4,7 +4,7 @@ Subsets are enumerated in increasing cardinality and, within a cardinality,
 in lexicographic index order, so the first feasible subset found is both a
 minimum and the lexicographically smallest minimum.  Adjacency is kept as
 bitmasks; connectivity, domination, and the hop bound are all mask walks.
-Instances above ``max_n`` points (16 by default) raise OracleLimitError.
+Instances above ``max_n`` points (16 by default) raise TractabilityError.
 """
 
 from __future__ import annotations
@@ -15,13 +15,10 @@ from .model import (
     BroadcastSet,
     InfeasibleError,
     StripInstance,
+    TractabilityError,
     UnitDiskGraph,
     make_broadcast_set,
 )
-
-
-class OracleLimitError(RuntimeError):
-    """Instance has more points than the oracle's ``max_n``."""
 
 
 def _masks(graph: UnitDiskGraph) -> tuple[list[int], list[int]]:
@@ -90,7 +87,7 @@ def brute_min_broadcast(
     """Minimum broadcast set containing the source, optionally hop-bounded."""
     n = instance.n
     if n > max_n:
-        raise OracleLimitError(f"oracle refuses n={n} > max_n={max_n}")
+        raise TractabilityError(f"oracle refuses n={n} > max_n={max_n}")
     nbr, closed = _masks(instance.graph)
     full = (1 << n) - 1
     src = instance.source

@@ -26,10 +26,10 @@ from .model import (
     InfeasibleError,
     Point,
     StripInstance,
+    check_answer,
     dist2,
     make_broadcast_set,
     outside_source_disk,
-    validate_broadcast,
 )
 from .narrow import find_small
 
@@ -260,11 +260,5 @@ def solve_two_hop(instance: StripInstance) -> BroadcastSet:
     _collect_disks(table, i, length, disks)
     _collect_disks(table, (i + length) % ai.m, ai.m - length, disks)
     active = [s] + [ai.disks[d] for d in sorted(disks)]
-    result = make_broadcast_set(instance, active)
-    report = validate_broadcast(instance, result, hops=2)
-    if not report.valid:
-        raise AssertionError(
-            f"internal error: 2-hop solver produced an invalid set {result.active}"
-        )
-    return result
+    return check_answer(instance, make_broadcast_set(instance, active), hops=2)
 

@@ -35,17 +35,14 @@ from .model import (
     ContractError,
     InfeasibleError,
     StripInstance,
+    TractabilityError,
     UnitDiskGraph,
+    check_answer,
     connected_levels,
     make_broadcast_set,
-    validate_broadcast,
 )
 
 WINDOW_CAP = 16
-
-
-class TractabilityError(RuntimeError):
-    """A window holds more candidate points than WINDOW_CAP."""
 
 
 def mu(width: float) -> int:
@@ -220,10 +217,4 @@ def solve_wide(instance: StripInstance) -> BroadcastSet:
         if parent is None:
             break
         key = parent
-    result = make_broadcast_set(instance, _bits(chosen))
-    report = validate_broadcast(instance, result, hops=None)
-    if not (report.is_dominating and report.is_connected):
-        raise AssertionError(
-            f"internal error: wide DP produced an invalid set {result.active}"
-        )
-    return result
+    return check_answer(instance, make_broadcast_set(instance, _bits(chosen)))

@@ -274,9 +274,8 @@ def test_two_sided_matches_oracle():
         if part.unreachable or part.depth < 2:
             continue
         h = part.depth
-        try:
-            got = two_sided(inst)
-        except InfeasibleError:
+        got = two_sided(inst)
+        if got is None:
             continue
         want = brute_min_broadcast(inst, hops=h)
         if validate_broadcast(inst, got, hops=h).valid:

@@ -231,27 +231,43 @@ def test_cli_solve_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind, extra, needle",
+    "argv, needle",
     [
-        ("wide", [], "holds 17 candidate points (cap 16)"),
-        ("wide", ["--algo", "brute"], "oracle refuses n=30 > max_n=16"),
-        ("wide", ["--algo", "narrow"], "requires a strip of width <= sqrt(3)/2"),
-        ("narrow", ["--hops", "0"], "hop bound must be >= 1"),
+        ("solve wide.json", "holds 17 candidate points (cap 16)"),
+        ("solve wide.json --algo brute", "oracle refuses n=30 > max_n=16"),
+        ("solve wide.json --algo narrow", "requires a strip of width <= sqrt(3)/2"),
+        ("solve chain5.json --hops 0", "hop bound must be >= 1"),
+        (
+            "solve chain6.json --algo narrow --hops 2",
+            "--algo narrow ignores the hop bound: its set needs 5 hops > 2",
+        ),
+        (
+            "solve chain6.json --algo wide --hops 2",
+            "--algo wide ignores the hop bound: its set needs 5 hops > 2",
+        ),
+        ("solve .", "Is a directory"),
+        ("solve latin1.json", "not UTF-8 text"),
+        ("bench --suite nope", "unknown suite 'nope'"),
     ],
-    ids=["window-cap", "oracle-size", "narrow-on-wide", "hops-zero"],
+    ids=[
+        "window-cap", "oracle-size", "narrow-on-wide", "hops-zero",
+        "narrow-over-hop-bound", "wide-over-hop-bound", "directory",
+        "not-utf8", "unknown-suite",
+    ],
 )
-def test_cli_typed_refusal_is_one_error_line(tmp_path, capsys, kind, extra, needle):
-    if kind == "wide":
-        inst = gen_random_strip(30, 1.0, 0, min_sep=0.05, span=2)
-    else:
-        inst = gen_chain(5, width=0.6)
-    path = str(tmp_path / "inst.json")
-    save_instance(inst, path)
-    code, out = run_cli(["solve", path, *extra])
+def test_cli_typed_refusal_is_one_error_line(
+    tmp_path, monkeypatch, capsys, argv, needle
+):
+    monkeypatch.chdir(tmp_path)
+    save_instance(gen_random_strip(30, 1.0, 0, min_sep=0.05, span=2), "wide.json")
+    save_instance(gen_chain(5, width=0.6), "chain5.json")
+    save_instance(gen_chain(6, width=0.6), "chain6.json")
+    (tmp_path / "latin1.json").write_bytes(b'{"format": "caf\xe9"}')
+    code, out = run_cli(argv.split())
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("error: ") and needle in err
-    assert len(err.splitlines()) == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_cli_auto_vs_brute(tmp_path):
@@ -274,8 +290,9 @@ def test_cli_auto_hop_dispatch(tmp_path):
     save_instance(inst, path)
     code, out = run_cli(["solve", path, "--hops", "3"])
     assert code == 0 and out.splitlines()[0] == "size 3"
-    code, _ = run_cli(["solve", path, "--hops", "2"])
+    code, out = run_cli(["solve", path, "--hops", "2"])
     assert code == 2
+    assert out.splitlines()[0] == "infeasible: points at hop level t=3 exceed the bound h=2"
     # the next call carries no hop bound over from this one
     code, out = run_cli(["solve", path])
     assert code == 0 and out.splitlines()[0] == "size 3"

@@ -6,12 +6,16 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from stripcast import cli, model
+import stripcast
+from stripcast import cli, io_cli, model
 from stripcast.model import (
     FRAGILE_TOL,
     InstanceError,
+    InternalError,
     NARROW_LIMIT,
     Point,
+    StripcastError,
+    check_answer,
     dist2,
     make_broadcast_set,
     make_instance,
@@ -299,6 +303,26 @@ def test_validate_hop_bound_flag():
     assert validate_broadcast(inst, range(4), hops=3).hops_ok is True
     assert validate_broadcast(inst, range(4), hops=2).hops_ok is False
     assert validate_broadcast(inst, range(4)).hops_ok is None
+
+
+def test_check_answer_raises_internal_error_and_ignores_the_file_bound():
+    inst = make_instance(
+        [(i * 0.95, 0.25) for i in range(4)], width=0.5, hops=2, warn_fragile=False
+    )
+    full = make_broadcast_set(inst, range(4))
+    assert check_answer(inst, full) is full
+    with pytest.raises(InternalError, match="max_hops=3, bound 2"):
+        check_answer(inst, full, hops=2)
+    with pytest.raises(InternalError, match=r"witnesses \(3,\)"):
+        check_answer(inst, make_broadcast_set(inst, [0, 1]))
+
+
+def test_every_error_is_a_stripcast_error():
+    exported = [getattr(stripcast, name) for name in stripcast.__all__]
+    errors = [e for e in exported if isinstance(e, type) and issubclass(e, Exception)]
+    errors += [io_cli.ParseError, io_cli.GeneratorError]
+    assert len(errors) == 8
+    assert all(issubclass(e, StripcastError) for e in errors)
 
 
 def test_broadcast_set_requires_source():

@@ -1,8 +1,13 @@
 import pytest
 
 from stripcast.io_cli import gen_random_strip
-from stripcast.model import InfeasibleError, make_instance, validate_broadcast
-from stripcast.oracle import OracleLimitError, brute_min_broadcast
+from stripcast.model import (
+    InfeasibleError,
+    TractabilityError,
+    make_instance,
+    validate_broadcast,
+)
+from stripcast.oracle import brute_min_broadcast
 
 
 def chain(k, spacing=0.95, width=0.5):
@@ -39,7 +44,7 @@ def test_hop_none_equals_large_bound():
 
 def test_max_n_refusal():
     inst = gen_random_strip(18, 0.6, seed=1, min_sep=0.0)
-    with pytest.raises(OracleLimitError):
+    with pytest.raises(TractabilityError, match=r"oracle refuses n=18 > max_n=16"):
         brute_min_broadcast(inst)
 
 

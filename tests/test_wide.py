@@ -7,12 +7,13 @@ from stripcast.io_cli import gen_random_strip
 from stripcast.model import (
     ContractError,
     InfeasibleError,
+    TractabilityError,
     make_instance,
     validate_broadcast,
 )
 from stripcast.narrow import solve_narrow
 from stripcast.oracle import brute_min_broadcast
-from stripcast.wide import TractabilityError, mu, solve_wide
+from stripcast.wide import mu, solve_wide
 from test_oracle import per_source
 
 
