@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 infeasible instance (scripts need to tell
 infeasibility apart from failure), 1 any other `StripcastError` or an
-unreadable file: bad input, a typed refusal (a precondition, a size cap, or
-`solve --algo` whose answer breaks the hop bound) or a failed self-check.
+unreadable file: bad input, a typed refusal (a precondition, a size cap,
+`solve --algo two-hop` without the hop bound 2, or `solve --algo` whose
+answer breaks the hop bound) or a failed self-check.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ def run_solver(instance: StripInstance, algo: str, hops: int | None) -> Broadcas
     elif algo == "hop":
         result = hopdp.solve_hop(instance, hops)
     elif algo == "two-hop":
+        if hops != 2:
+            bound = "no hop bound" if hops is None else f"hop bound {hops}"
+            raise ContractError(f"--algo two-hop needs hop bound 2, got {bound}")
         result = twohop.solve_two_hop(instance)
     elif algo == "wide":
         result = wide.solve_wide(instance)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import os
@@ -142,9 +143,97 @@ def test_gen_min_sep_respected():
             assert abs(d - 1.0) >= 1e-6
 
 
+@pytest.mark.parametrize(
+    "min_sep, span, width",
+    [(0.05, 25.0, 0.86), (1.3, 400.0, 0.86)],
+    ids=["below-radius", "above-radius"],
+)
+def test_gen_min_sep_respected_beyond_one_window(min_sep, span, width):
+    # 400 points over many unit lengths: most pairs are farther apart in x
+    # than any separation the generator enforces, and every pair is checked.
+    inst = gen_random_strip(400, width, seed=3, min_sep=min_sep, span=span)
+    pts = inst.points
+    assert inst.n == 400 and max(p.x for p in pts) - min(p.x for p in pts) > 40
+    for i in range(inst.n):
+        for j in range(i + 1, inst.n):
+            d = math.sqrt(dist2(pts[i], pts[j]))
+            assert d >= min_sep
+            assert abs(d - 1.0) >= 1e-6
+
+
 def test_gen_rejects_impossible():
-    with pytest.raises(GeneratorError):
+    with pytest.raises(GeneratorError) as err:
         gen_random_strip(200, 0.2, seed=1, min_sep=0.2, span=1.0)
+    assert str(err.value) == "could not place 200 points with min_sep=0.2 in the strip"
+
+
+# SHA-256 of serialize_instance(gen_random_strip(**kwargs)).  Seeded draws are
+# part of the interface: benchmark corpora and acceptance corpora are rebuilt
+# from seeds, so a change to the generator must leave these bytes alone.
+GEN_DIGESTS = [
+    (
+        "min-sep-0",
+        dict(n=60, width=0.6, seed=11, min_sep=0.0, span=4.0),
+        "f1a8543c0a393787c4f56c44f40f595f6772281cd2a3cdda46bde7b4e8fefcf6",
+    ),
+    (
+        "min-sep-0.05",
+        dict(n=60, width=0.86, seed=12, min_sep=0.05, span=4.0),
+        "d8b3b243f963259da3dea767ce63641469e30a7a771589ce1d05d93cdc9c426a",
+    ),
+    (
+        "min-sep-1.2",
+        dict(n=25, width=0.6, seed=13, min_sep=1.2, span=40.0),
+        "05bbef2f58c88a475268f14b9be4c6f0691cb71b6ddb504726d1183ee999a339",
+    ),
+    (
+        "one-sided",
+        dict(n=60, width=0.3, seed=14, min_sep=0.05, span=4.0, one_sided=True),
+        "c0730d2f8a0fa84c82ad3e8628ecfb9e757f4253e19aa616d98c61992c31ab6e",
+    ),
+    (
+        "crowded",
+        dict(n=60, width=0.86, seed=18, min_sep=0.05, span=1.5),
+        "d5bae3e74a8424e59fcaff93702efd3eb009bbb5d454323aff1233c171ff5bf7",
+    ),
+    (
+        "span-1",
+        dict(n=12, width=1.0, seed=15, min_sep=0.05, span=1.0),
+        "b0ebfe776d76fda706439406f4895d14eb8aefc33e1c36dce7d149440663b12f",
+    ),
+    (
+        "default-span",
+        dict(n=50, width=0.6, seed=16, min_sep=0.05),
+        "57d84f9654de68e1566ba485d22076b6bea61d42ff215ef9a3c4cf88f50255d4",
+    ),
+    (
+        "n800-span-n/16",
+        dict(n=800, width=0.86, seed=17, min_sep=0.05, span=50.0),
+        "5109c45e1c884187e620f07050912dcd7c69a9cd757f85ffaa23541701184d00",
+    ),
+    (
+        "n3200",
+        dict(n=3200, width=0.6, seed=0, min_sep=0.05),
+        "789633ae9134f6d69e5892d6dcf0f31d5a43480d623c8e3b24ad2f05bcd9bb3f",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, digest", [c[1:] for c in GEN_DIGESTS], ids=[c[0] for c in GEN_DIGESTS]
+)
+def test_gen_random_strip_golden_digest(kwargs, digest):
+    text = serialize_instance(gen_random_strip(**kwargs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_cli_gen_golden_digest(tmp_path):
+    path = tmp_path / "big.json"
+    code, _ = run_cli(["gen", "--n", "3200", "--seed", "0", "-o", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9a1a046e3453586548f421b613f00f2bec3240dfdb5e0deebc9176ff105c04de"
+    )
 
 
 def test_bundle_counts_and_levels():
@@ -248,11 +337,19 @@ def test_cli_solve_error_exit_code(tmp_path):
         ("solve .", "Is a directory"),
         ("solve latin1.json", "not UTF-8 text"),
         ("bench --suite nope", "unknown suite 'nope'"),
+        (
+            "solve chain6.json --algo two-hop",
+            "--algo two-hop needs hop bound 2, got no hop bound",
+        ),
+        (
+            "solve chain6.json --algo two-hop --hops 5",
+            "--algo two-hop needs hop bound 2, got hop bound 5",
+        ),
     ],
     ids=[
         "window-cap", "oracle-size", "narrow-on-wide", "hops-zero",
         "narrow-over-hop-bound", "wide-over-hop-bound", "directory",
-        "not-utf8", "unknown-suite",
+        "not-utf8", "unknown-suite", "two-hop-unbounded", "two-hop-other-bound",
     ],
 )
 def test_cli_typed_refusal_is_one_error_line(
@@ -268,6 +365,17 @@ def test_cli_typed_refusal_is_one_error_line(
     assert code == 1 and out == ""
     assert err.startswith("error: ") and needle in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_cli_two_hop_at_bound_two(tmp_path):
+    # A 6-point chain has hop depth 5, so at h = 2 it is truly infeasible.
+    path = str(tmp_path / "chain6.json")
+    save_instance(gen_chain(6, width=0.6), path)
+    code, out = run_cli(["solve", path, "--algo", "two-hop", "--hops", "2"])
+    assert code == 2
+    assert out.splitlines()[0] == (
+        "infeasible: a point outside the source disk is coverable by no candidate disk"
+    )
 
 
 def test_cli_auto_vs_brute(tmp_path):
