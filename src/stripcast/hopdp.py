@@ -6,34 +6,38 @@ the 2-hop broadcast problem, which the planar 2-hop solver answers exactly.
 At t = h >= 3 no 2-hop set exists: a level-3 point lies outside every disk
 centered in the source disk.  There the unbounded (narrow) optimum is
 returned whenever it meets the bound, as no h-hop set can be smaller.
-Otherwise the answer is the minimum over two candidate structures: a mixed
-solution (path on one side, arborescence on the other, possibly sharing the
-second vertex) and a two-sided arborescence.
+Otherwise the answer is the smallest valid set of one table over three
+pairings of sides: (path -, tree +), (tree -, path +) and (tree -, tree +).
 
 Arborescences live in the level DAG (edges between consecutive levels,
 oriented upward).  The one-sided table M(p, [i, j]) is the minimum number of
 active points, excluding the root p, of an order-respecting arborescence
-rooted at p whose leaf set is the y-interval [i, j] of the last level.  The
-two-sided structure at the source is a table over suffix pairs: G(i, k) is
-the cheapest cover, source excluded, of the left last-level points i..m_l
-and the right ones k..m_r.  The source's children take consecutive (left
-interval, right interval) pairs in order, so G(i, k) is the cheapest first
-child over (i..t, k..u) plus G(t + 1, u + 1), and the answer is 1 + G(1, 1):
-(m_l + 1)(m_r + 1) cells, each trying every first pair.
+rooted at p whose leaf set is the y-interval [i, j] of the last level.  A tree
+side's terminals are its part of the last level, and its costs read M.  A
+path side has one pseudo-terminal, its covering set: from a level-1 point the
+cost is the length of the backward-levelled path starting there, else INF.
+
+The table over suffix pairs: G(i, k) is the cheapest cover, source excluded,
+of the left terminals i..m_l and the right ones k..m_r.  The source's
+children take consecutive (left interval, right interval) pairs in order, so
+G(i, k) is the cheapest first child over (i..t, k..u) plus G(t + 1, u + 1),
+and the answer is 1 + G(1, 1).  A child serving both sides counts once, so a
+(path, tree) set is the optimal tree plus the path, less one when the path
+can start at an optimal child of the tree.
 
 `solve_hop` reads the levels and covering sets the instance keeps, and at
-t = h >= 3 builds one level DAG and one pair of side tables (left: points with
-x < 0, right: x >= 0, both with all of level 1) that the mixed and two-sided
-candidates share.  On a one-sided instance (source leftmost) the right table
-is the whole problem.
+t = h >= 3 builds one level DAG and one pair of side tables (left: x < 0,
+right: x >= 0, both with all of level 1) that every pairing shares.  On a
+one-sided instance (source leftmost) the right table is the whole problem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import add
-from typing import Iterable
+from typing import Callable
 
 from . import narrow as narrow_mod
 from . import twohop as twohop_mod
@@ -51,12 +55,16 @@ from .model import (
 
 INF = math.inf
 
+# rows[i][t - i + 1][c]: root-inclusive cost of level-1 point c on [i, t]
+Rows = list[list[list[float]]]
+# a side: its cost rows and a walker adding a child's actives for [i, t]
+Side = tuple[Rows, Callable[[int, int, int, set[int]], None]]
+
 
 @dataclass(frozen=True)
 class LevelDag:
     """Graph edges between consecutive levels, oriented low to high."""
 
-    instance: StripInstance
     part: LevelPartition
     children: tuple[tuple[int, ...], ...]
     parents: tuple[tuple[int, ...], ...]
@@ -75,7 +83,6 @@ def build_level_dag(instance: StripInstance) -> LevelDag:
                 children[u].append(v)
                 parents[v].append(u)
     return LevelDag(
-        instance,
         part,
         tuple(tuple(sorted(c)) for c in children),
         tuple(tuple(sorted(p)) for p in parents),
@@ -101,10 +108,6 @@ class OneSidedTable:
         if j < i:
             return 0.0
         return self.values.get((p, i, j), INF)
-
-
-def _sorted_terminals(instance: StripInstance, idx: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(idx, key=lambda q: (instance.points[q].y, q)))
 
 
 def _restricted_reach(dag: LevelDag, vertices: frozenset[int], q: int) -> frozenset[int]:
@@ -195,26 +198,6 @@ def _walk_table(table: OneSidedTable, p: int, i: int, j: int, out: set[int]) -> 
         _walk_table(table, pick[1], i, j, out)
 
 
-def _second_point_split(table: OneSidedTable, p: int) -> tuple[int, int] | None:
-    """Interval [i, j] witnessing p as an optimal child of the source."""
-    src = table.dag.instance.source
-    m = table.m
-    total = table.value(src, 1, m)
-    if total == INF:
-        return None
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            if (
-                table.value(src, 1, i - 1)
-                + table.value(p, i, j)
-                + table.value(src, j + 1, m)
-                + 1.0
-                == total
-            ):
-                return (i, j)
-    return None
-
-
 def _side_tables(
     instance: StripInstance, dag: LevelDag
 ) -> tuple[OneSidedTable, OneSidedTable]:
@@ -224,11 +207,12 @@ def _side_tables(
     levels >= 2; its terminals are the side's part of the last level.
     """
     part = dag.part
+    pts = instance.points
     left, right = (
         _fill_table(
             dag,
             frozenset({instance.source}.union(*part.levels[1:2], *side[2:])),
-            _sorted_terminals(instance, side[part.depth]),
+            tuple(sorted(side[part.depth], key=lambda q: (pts[q].y, q))),
         )
         for side in (part.minus, part.plus)
     )
@@ -237,13 +221,10 @@ def _side_tables(
 
 def _root_cost(table: OneSidedTable, p: int, i: int, j: int) -> float:
     """Root-inclusive one-sided cost: M + 1 on nonempty intervals, 0 on empty."""
-    if j < i:
-        return 0.0
-    v = table.value(p, i, j)
-    return v + 1.0 if v < INF else INF
+    return 0.0 if j < i else table.value(p, i, j) + 1.0
 
 
-def _cost_rows(table: OneSidedTable, level1: list[int]) -> list[list[list[float]]]:
+def _cost_rows(table: OneSidedTable, level1: list[int]) -> Rows:
     """``rows[i][t - i + 1]``: the root-inclusive costs of [i, t] for each
     level-1 point, for t = i - 1 .. m (the empty interval first)."""
     m = table.m
@@ -254,13 +235,13 @@ def _cost_rows(table: OneSidedTable, level1: list[int]) -> list[list[list[float]
 
 
 def _suffix_pairs(
-    lrows: list[list[list[float]]], rrows: list[list[list[float]]]
+    lrows: Rows, rrows: Rows
 ) -> tuple[list[list[float]], list[list[tuple[int, int] | None]]]:
     """G(i, k) of the module docstring, with each cell's winning first pair
     (t, u), or None on G(m_l + 1, m_r + 1) = 0 and on INF cells.
 
     A pair's unit cost is its cheapest level-1 child, counted once when it
-    serves both sides; on a single leaf that is the source's shortest DAG
+    serves both sides; on a single tree leaf that is the source's shortest DAG
     path.  Ties go to the first (t, u).
     """
     ml, mr = len(lrows) - 2, len(rrows) - 2
@@ -291,21 +272,40 @@ def _suffix_pairs(
     return g, pick
 
 
+def _path_side(instance: StripInstance, level1: list[int], side: str) -> Side | None:
+    """The side's covering path as one pseudo-terminal, or None when the
+    backward levelling from its covering set dies out.
+
+    A level-1 point p in the last backward level costs the path's length
+    (p included), any other INF; a side with no outside point has no
+    terminal.
+    """
+    sign = 1.0 if side == "+" else -1.0
+    empty = [0.0] * len(level1)
+    if not any(instance.points[i].x * sign > 0.0 for i in instance.covering.outside):
+        return [[], [empty]], lambda p, i, t, out: None
+    back = narrow_mod.backward_level_sets(instance, side)
+    if not back.reached:
+        return None
+    entry = set(back.levels[-1])
+    cost = [float(back.hops) if p in entry else INF for p in level1]
+
+    def walk(p: int, i: int, t: int, out: set[int]) -> None:
+        if t >= i:
+            out.update(narrow_mod.walk_backward_path(instance, back, p))
+
+    return [[], [empty, cost], [empty]], walk
+
+
 def _two_sided(
-    instance: StripInstance,
-    dag: LevelDag,
-    left: OneSidedTable,
-    right: OneSidedTable,
+    instance: StripInstance, level1: list[int], left: Side, right: Side
 ) -> BroadcastSet | None:
-    """The two-sided arborescence over already filled side tables, or None
-    when no such arborescence spans the last level (G(1, 1) is INF).
+    """The cheapest cover of two sides' terminals, or None when G(1, 1) is INF.
 
     The traceback follows the winning first pairs from G(1, 1); each pair's
     child is its first cheapest level-1 point.
     """
-    levels = dag.part.levels
-    level1 = sorted(levels[1]) if len(levels) > 1 else []
-    lrows, rrows = _cost_rows(left, level1), _cost_rows(right, level1)
+    (lrows, lwalk), (rrows, rwalk) = left, right
     g, pick = _suffix_pairs(lrows, rrows)
     if g[1][1] == INF:
         return None
@@ -316,10 +316,29 @@ def _two_sided(
         joint = list(map(add, lrows[i][t - i + 1], rrows[k][u - k + 1]))
         p = level1[joint.index(min(joint))]
         out.add(p)
-        _walk_table(left, p, i, t, out)
-        _walk_table(right, p, k, u, out)
+        lwalk(p, i, t, out)
+        rwalk(p, k, u, out)
         i, k = t + 1, u + 1
     return make_broadcast_set(instance, out)
+
+
+def _candidates(instance: StripInstance, dag: LevelDag) -> list[BroadcastSet | None]:
+    """The (path -, tree +), (tree -, path +) and (tree -, tree +) sets, in
+    that order; None where a pairing is skipped or covers nothing."""
+    level1 = sorted(dag.part.levels[1])
+    left, right = (
+        (_cost_rows(table, level1), partial(_walk_table, table))
+        for table in _side_tables(instance, dag)
+    )
+    pairings = (
+        (_path_side(instance, level1, "-"), right),
+        (left, _path_side(instance, level1, "+")),
+        (left, right),
+    )
+    return [
+        None if a is None or b is None else _two_sided(instance, level1, a, b)
+        for a, b in pairings
+    ]
 
 
 def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
@@ -345,73 +364,11 @@ def solve_hop(instance: StripInstance, hops: int | None = None) -> BroadcastSet:
     if validate_broadcast(instance, unbounded, hops=h).valid:
         return unbounded
 
-    candidates: list[BroadcastSet] = []
-
-    def consider(result: BroadcastSet | None) -> None:
-        if result is not None and validate_broadcast(
-            instance, result, hops=h
-        ).valid:
-            candidates.append(result)
-
-    # one DAG and one pair of side tables serve the mixed and two-sided
-    # candidates alike
-    dag = build_level_dag(instance)
-    left, right = _side_tables(instance, dag)
-    consider(_mixed_candidate(instance, right, "+"))
-    consider(_mixed_candidate(instance, left, "-"))
-    consider(_two_sided(instance, dag, left, right))
-
-    if not candidates:
+    valid = [
+        c
+        for c in _candidates(instance, build_level_dag(instance))
+        if c is not None and validate_broadcast(instance, c, hops=h).valid
+    ]
+    if not valid:
         raise InternalError("no feasible hop-bounded candidate")
-    return min(candidates, key=lambda c: c.size)
-
-
-def _mixed_candidate(
-    instance: StripInstance, table: OneSidedTable, arb_side: str
-) -> BroadcastSet | None:
-    """Arborescence toward one side plus a shortest covering path to the other.
-
-    ``table`` is the arborescence side's one-sided table; the path runs to the
-    instance's covering set on the other side.  The path may enter the
-    arborescence at a shared second vertex; sharing is possible exactly when
-    some optimal-child candidate of the arborescence is also a possible
-    second vertex of a shortest covering path.
-    """
-    src = instance.source
-    if not table.terminals or table.value(src, 1, table.m) == INF:
-        return None
-    pts = instance.points
-    sign = 1.0 if arb_side == "+" else -1.0
-    outside = instance.covering.outside
-    path_side_used = any(pts[i].x * sign < 0.0 for i in outside)
-    if not path_side_used:
-        actives: set[int] = {src}
-        _walk_table(table, src, 1, table.m, actives)
-        return make_broadcast_set(instance, actives)
-
-    path_side = "-" if arb_side == "+" else "+"
-    back = narrow_mod.backward_level_sets(instance, path_side)
-    if not back.reached:
-        return None
-    near = instance.graph.adj[src]
-    entry = [i for i in back.levels[-1] if i == src or i in near]
-
-    start = None
-    actives = {src}
-    for p in sorted(entry):
-        split = _second_point_split(table, p)
-        if split is not None:
-            i, j = split
-            actives.add(p)
-            _walk_table(table, src, 1, i - 1, actives)
-            _walk_table(table, p, i, j, actives)
-            _walk_table(table, src, j + 1, table.m, actives)
-            start = p
-            break
-    if start is None:
-        _walk_table(table, src, 1, table.m, actives)
-        start = min(entry)
-    path = narrow_mod.walk_backward_path(instance, back, start)
-    actives.update(path)
-    return make_broadcast_set(instance, actives)
-
+    return min(valid, key=lambda c: c.size)

@@ -456,18 +456,8 @@ def validate_broadcast(
     ]
     is_dominating = not uncovered
 
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in graph.adj[u]:
-            if v in active and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    stranded = sorted(active - seen)
-    is_connected = not stranded
-
     # BFS where only active vertices relay; inactive points are absorbing.
+    # An active point it leaves at INF has no all-active path from the source.
     dist: list[float] = [INF] * n
     dist[src] = 0
     queue = deque([src])
@@ -479,6 +469,8 @@ def validate_broadcast(
                 if v in active:
                     queue.append(v)
     max_hops = max(dist)
+    stranded = sorted(i for i in active if dist[i] == INF)
+    is_connected = not stranded
 
     bound = hops if hops is not None else instance.hops
     hops_ok = None if bound is None else max_hops <= bound

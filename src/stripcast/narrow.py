@@ -41,7 +41,6 @@ class BackwardLevels:
     search died out before touching the source disk (disconnected side).
     """
 
-    side: str
     levels: tuple[tuple[int, ...], ...]
     reached: bool
 
@@ -119,9 +118,9 @@ def backward_level_sets(instance: StripInstance, side: str) -> BackwardLevels:
     while True:
         cur = levels[-1]
         if s in cur or not near_source.isdisjoint(cur):
-            return BackwardLevels(side, tuple(levels), True)
+            return BackwardLevels(tuple(levels), True)
         if not cur:
-            return BackwardLevels(side, tuple(levels[:-1]), False)
+            return BackwardLevels(tuple(levels[:-1]), False)
         nxt = set().union(*(adj[i] for i in cur))
         nxt -= seen
         seen |= nxt

@@ -5,13 +5,11 @@ import pytest
 
 from stripcast import hopdp, model
 from stripcast.hopdp import (
+    _candidates,
     _cost_rows,
-    _mixed_candidate,
     _root_cost,
-    _second_point_split,
     _side_tables,
     _suffix_pairs,
-    _two_sided,
     _walk_table,
     build_level_dag,
     solve_hop,
@@ -25,7 +23,7 @@ from stripcast.model import (
     make_instance,
     validate_broadcast,
 )
-from stripcast.narrow import solve_narrow
+from stripcast.narrow import backward_level_sets, solve_narrow
 from stripcast.oracle import brute_min_broadcast
 from stripcast.twohop import solve_two_hop
 from test_wide import _lattice_ulp_strip_corpus
@@ -65,17 +63,15 @@ def one_sided_best(inst):
     return table, min(valid, key=lambda b: b.size)
 
 
-def second_points(table):
-    """Level-1 points usable as the source's child in a minimum arborescence."""
-    levels = table.dag.part.levels
-    level1 = sorted(levels[1]) if len(levels) > 1 else []
-    return tuple(p for p in level1 if _second_point_split(table, p) is not None)
+def candidates(inst):
+    """The (path -, tree +), (tree -, path +) and (tree -, tree +) sets that
+    solve_hop chooses from when the narrow set breaks the bound."""
+    return _candidates(inst, build_level_dag(inst))
 
 
 def two_sided(inst):
-    """The two-sided candidate over the DAG and side tables solve_hop fills."""
-    dag = build_level_dag(inst)
-    return _two_sided(inst, dag, *_side_tables(inst, dag))
+    """The (tree -, tree +) set."""
+    return candidates(inst)[2]
 
 
 def test_level_dag_chain():
@@ -177,47 +173,6 @@ def test_one_sided_matches_oracle():
         want = brute_min_broadcast(inst, hops=part.depth)
         assert got.size == want.size
         assert validate_broadcast(inst, got, hops=part.depth).valid
-
-
-def y_fork():
-    # source fans into two strings with separate last-level points
-    return make_instance(
-        [
-            (0.0, 0.4),
-            (0.9, 0.05),  # 1: bottom child
-            (0.9, 0.75),  # 2: top child
-            (1.8, 0.05),  # 3: bottom terminal
-            (1.8, 0.75),  # 4: top terminal
-        ],
-        width=0.8,
-        warn_fragile=False,
-    )
-
-
-def test_second_points_single_path():
-    inst = chain(4)
-    table, _ = one_sided_best(inst)
-    assert second_points(table) == (1,)
-
-
-def test_second_points_fork_has_both_children():
-    # every minimum arborescence of the fork branches at the source, so both
-    # level-1 children appear; enumerated by hand: the only minimum
-    # arborescence is {source->1->3, source->2->4}
-    inst = y_fork()
-    part = inst.levels
-    assert part.depth == 2
-    table, got = one_sided_best(inst)
-    assert got.size == 3
-    assert second_points(table) == (1, 2)
-
-
-def test_second_points_empty_level_one():
-    # a lone source has no level-1 points: no second-point candidates
-    inst = make_instance([(0.0, 0.25)], width=0.5)
-    table, got = one_sided_best(inst)
-    assert got.active == (0,)
-    assert second_points(table) == ()
 
 
 def test_two_sided_mirror_symmetry():
@@ -425,6 +380,56 @@ def test_solve_hop_matches_oracle_at_depth_three_to_five():
     assert invalid_two_sided >= 30
 
 
+def test_smallest_valid_candidate_is_optimal_without_the_certificate():
+    # the pairings alone, with the narrow set never consulted, reach the
+    # oracle's optimum on every deep draw
+    kept = 0
+    for seed, inst, h in _deep_random_strips():
+        kept += 1
+        valid = [
+            c
+            for c in candidates(inst)
+            if c is not None and validate_broadcast(inst, c, hops=h).valid
+        ]
+        assert valid, seed
+        best = min(c.size for c in valid)
+        assert best == brute_min_broadcast(inst, hops=h).size, seed
+    assert kept >= 100
+
+
+def test_path_side_shares_an_optimal_tree_child():
+    # a path entry that is an optimal child of the other side's tree is
+    # counted once: each (path, tree) set is the tree plus the path, less one
+    inst = gen_random_strip(24, 0.6, 41818, min_sep=0.05, span=3.0)
+    h = inst.levels.depth
+    assert h == 5
+    left, right = _side_tables(inst, build_level_dag(inst))
+    path_tree, tree_path, _ = candidates(inst)
+    for got, table, path_side in ((path_tree, right, "-"), (tree_path, left, "+")):
+        tree = 1 + table.value(inst.source, 1, table.m)
+        path = backward_level_sets(inst, path_side).hops
+        assert got.size == tree + path - 1 == 8
+        assert validate_broadcast(inst, got, hops=h).valid
+
+
+def test_path_side_with_an_empty_tree_side_is_the_optimum():
+    # a lattice strip with its last level on the left only: both pairings
+    # with a left tree are invalid, and the left path beside a right tree
+    # with no terminal is the oracle's optimum
+    corpus = _lattice_ulp_strip_corpus(
+        seed=7, trials=6000, widths=(0.3, 0.5, math.sqrt(3) / 2)
+    )
+    coords, w = corpus[5051]
+    inst = make_instance(coords, width=w, warn_fragile=False)
+    assert inst.levels.depth == 3
+    path_tree, tree_path, tree_tree = candidates(inst)
+    assert path_tree.active == (0, 6, 7)
+    assert validate_broadcast(inst, path_tree, hops=3).valid
+    for other in (tree_path, tree_tree):
+        assert not validate_broadcast(inst, other, hops=3).valid
+    assert brute_min_broadcast(inst, hops=3).active == (0, 6, 7)
+
+
 def test_no_two_hop_set_at_depth_three_to_five():
     # a level-3 point lies outside every disk centered in the source disk,
     # so solve_hop runs no 2-hop candidate at t = h >= 3
@@ -445,14 +450,7 @@ def test_solve_hop_at_depth_two_is_the_two_hop_set():
         assert not part.unreachable and part.depth == 2
         got = solve_hop(inst, 2)
         assert got.active == solve_two_hop(inst).active
-        dag = build_level_dag(inst)
-        left, right = _side_tables(inst, dag)
-        others = [
-            _two_sided(inst, dag, left, right),
-            _mixed_candidate(inst, right, "+"),
-            _mixed_candidate(inst, left, "-"),
-        ]
-        for other in others:
+        for other in candidates(inst):
             if other is not None and validate_broadcast(inst, other, hops=2).valid:
                 assert other.size >= got.size, (seed, other.active)
 
@@ -492,8 +490,8 @@ def test_solve_hop_fragile_lattice_every_depth():
 
 
 def test_solve_hop_computes_covering_sets_at_most_once(monkeypatch):
-    # solve_narrow and both mixed candidates share the instance's covering
-    # sets at t = h >= 3; the 2-hop path at t = h = 2 needs none
+    # solve_narrow and both path sides share the instance's covering sets at
+    # t = h >= 3; the 2-hop path at t = h = 2 needs none
     calls = []
     covering_sets = model._covering_sets
 

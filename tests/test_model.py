@@ -298,6 +298,61 @@ def test_validate_witnesses():
     assert report.max_hops_needed == math.inf
 
 
+def reference_report(inst, active, bound):
+    """The report's fields from their definitions: pairwise distances, the
+    source's component among the actives, and relay rounds in which only
+    the points reached by actives in the previous round are new."""
+    pts, n, src = inst.points, inst.n, inst.source
+
+    def near(a, b):
+        return a != b and dist2(pts[a], pts[b]) <= 1.0
+
+    uncovered = [
+        i for i in range(n) if i not in active and not any(near(i, a) for a in active)
+    ]
+    component = {src}
+    grown = True
+    while grown:
+        new = {a for a in active - component if any(near(a, c) for c in component)}
+        component |= new
+        grown = bool(new)
+    stranded = sorted(active - component)
+    hop = {src: 0}
+    relays = [src]
+    rounds = 0
+    while relays:
+        rounds += 1
+        reached = [v for v in range(n) if v not in hop and any(near(u, v) for u in relays)]
+        hop.update((v, rounds) for v in reached)
+        relays = [v for v in reached if v in active]
+    max_hops = max(hop.values()) if len(hop) == n else math.inf
+    hops_ok = None if bound is None else max_hops <= bound
+    return (not uncovered, not stranded, max_hops, hops_ok, tuple(uncovered + stranded))
+
+
+def test_validate_fields_match_their_definitions():
+    rng = random.Random(2024)
+    stranded = hop_failures = 0
+    for seed in range(300):
+        n = 4 + seed % 12
+        inst = gen_random_strip(n, (0.3, 0.6, 0.86)[seed % 3], seed, min_sep=0.05)
+        keep = rng.choice((0.3, 0.6, 0.9))
+        active = {inst.source} | {i for i in range(n) if rng.random() < keep}
+        bound = rng.choice((None, 1, 2, 3, 4))
+        report = validate_broadcast(inst, active, hops=bound)
+        got = (
+            report.is_dominating,
+            report.is_connected,
+            report.max_hops_needed,
+            report.hops_ok,
+            report.witnesses,
+        )
+        assert got == reference_report(inst, active, bound), seed
+        stranded += not report.is_connected
+        hop_failures += report.hops_ok is False
+    assert stranded >= 30 and hop_failures >= 30
+
+
 def test_validate_hop_bound_flag():
     inst = chain(4, spacing=0.95)
     assert validate_broadcast(inst, range(4), hops=3).hops_ok is True
