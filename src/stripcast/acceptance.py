@@ -5,11 +5,15 @@ Each criterion is a zero-argument callable returning (ok, detail); the CLI
 PASS/FAIL line per criterion, a criterion that raises a StripcastError
 failing with the error as its detail.  All corpora are seeded and
 deterministic.
+
+``hashlib`` is imported inside ``criterion_plumbing``, the one criterion that
+hashes, not here: ``cli`` imports this module for ``bench``, and hashlib maps
+OpenSSL's libcrypto (about 3.6 MB of resident memory), which a process that
+only solves would otherwise carry.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import warnings
@@ -465,6 +469,7 @@ def render_fixture(name: str) -> str:
 
 def criterion_plumbing():
     """File round trips, auto-vs-brute CLI equality, SVG golden bytes."""
+    import hashlib
     import io as _io
     import tempfile
     from contextlib import redirect_stdout

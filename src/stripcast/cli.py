@@ -69,6 +69,8 @@ def run_solver(instance: StripInstance, algo: str, hops: int | None) -> Broadcas
 
 
 def _cmd_solve(args) -> int:
+    if args.hops is not None and args.hops < 1:
+        raise InstanceError(f"--hops: hop bound must be >= 1, got {args.hops}")
     instance = io_cli.load_instance(args.file)
     hops = args.hops if args.hops is not None else instance.hops
     result = run_solver(instance, args.algo, hops)

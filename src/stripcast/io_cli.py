@@ -61,7 +61,10 @@ def _is_number(value) -> bool:
 def parse_instance(text: str) -> StripInstance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise ParseError("not valid JSON: arrays or objects nested too deeply") from exc
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past int's digit limit
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
@@ -84,20 +87,32 @@ def parse_instance(text: str) -> StripInstance:
     if not isinstance(raw, list) or not raw:
         raise ParseError("field 'points': must be a nonempty list")
     pts = []
-    for i, entry in enumerate(raw):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(_is_number(c) for c in entry)
-        ):
-            raise ParseError(f"field 'points[{i}]': must be a pair of numbers")
-        pts.append((float(entry[0]), float(entry[1])))
+    # float() of an int literal beyond double range raises OverflowError;
+    # `field` names the value being converted without a call per coordinate.
+    field = "width"
+    try:
+        width = None if width is None else float(width)
+        field = "radius"
+        radius = float(radius)
+        field = "points"
+        for i, entry in enumerate(raw):
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not all(_is_number(c) for c in entry)
+            ):
+                raise ParseError(f"field 'points[{i}]': must be a pair of numbers")
+            pts.append((float(entry[0]), float(entry[1])))
+    except OverflowError as exc:
+        if field == "points":
+            field = f"points[{i}]"
+        raise ParseError(f"field {field!r}: number beyond double range") from exc
     try:
         return make_instance(
             pts,
             source=source,
-            width=None if width is None else float(width),
-            radius=float(radius),
+            width=width,
+            radius=radius,
             hops=hops,
             warn_fragile=False,
         )

@@ -2,6 +2,8 @@ import hashlib
 import io
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
 
@@ -68,6 +70,47 @@ def test_radius_rescaled_on_parse():
     assert inst.points[1].x == 1.0
 
 
+GOOD_DOC = """{
+  "format": "strip-broadcast-1",
+  "width": 2.0,
+  "radius": 2,
+  "hops": null,
+  "source": 0,
+  "points": [
+    [0, 1],
+    [2, 1]
+  ]
+}
+"""
+
+BEYOND_DOUBLE = "1" + "0" * 400  # an integer literal float() cannot convert
+
+# Inputs that once escaped as OverflowError, ValueError or RecursionError.
+OUT_OF_RANGE = [
+    pytest.param(
+        lambda d: d.replace("[2, 1]", f"[{BEYOND_DOUBLE}, 1]"),
+        "field 'points[1]'",
+        id="overflow-coordinate",
+    ),
+    pytest.param(
+        lambda d: d.replace('"width": 2.0', f'"width": {BEYOND_DOUBLE}'),
+        "field 'width'",
+        id="overflow-width",
+    ),
+    pytest.param(
+        lambda d: d.replace('"radius": 2', f'"radius": {BEYOND_DOUBLE}'),
+        "field 'radius'",
+        id="overflow-radius",
+    ),
+    pytest.param(
+        lambda d: d.replace("[2, 1]", f"[{'1' * 5000}, 1]"),
+        "not valid JSON",
+        id="int-digit-limit",
+    ),
+    pytest.param(lambda d: "[" * 100_000, "nested too deeply", id="deep-nesting"),
+]
+
+
 @pytest.mark.parametrize(
     "mangle,needle",
     [
@@ -102,24 +145,24 @@ def test_radius_rescaled_on_parse():
             "field 'radius'",
             id="bool-radius",
         ),
+        *OUT_OF_RANGE,
     ],
 )
 def test_parse_errors_name_the_field(mangle, needle):
-    good = """{
-  "format": "strip-broadcast-1",
-  "width": 2.0,
-  "radius": 2,
-  "hops": null,
-  "source": 0,
-  "points": [
-    [0, 1],
-    [2, 1]
-  ]
-}
-"""
     with pytest.raises(ParseError) as err:
-        parse_instance(mangle(good))
+        parse_instance(mangle(GOOD_DOC))
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("mangle,needle", OUT_OF_RANGE)
+def test_cli_out_of_range_is_one_error_line(tmp_path, capsys, mangle, needle):
+    path = tmp_path / "bad.json"
+    path.write_text(mangle(GOOD_DOC), encoding="utf-8")
+    code, out = run_cli(["solve", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and needle in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_gen_deterministic():
@@ -326,6 +369,10 @@ def test_cli_solve_error_exit_code(tmp_path):
         ("solve wide.json --algo brute", "oracle refuses n=30 > max_n=16"),
         ("solve wide.json --algo narrow", "requires a strip of width <= sqrt(3)/2"),
         ("solve chain5.json --hops 0", "hop bound must be >= 1"),
+        ("solve planar.json --hops 0", "hop bound must be >= 1"),
+        ("solve planar.json --hops -1", "hop bound must be >= 1"),
+        ("solve wide.json --hops 0", "hop bound must be >= 1"),
+        ("solve wide.json --hops -1", "hop bound must be >= 1"),
         (
             "solve chain6.json --algo narrow --hops 2",
             "--algo narrow ignores the hop bound: its set needs 5 hops > 2",
@@ -348,6 +395,8 @@ def test_cli_solve_error_exit_code(tmp_path):
     ],
     ids=[
         "window-cap", "oracle-size", "narrow-on-wide", "hops-zero",
+        "hops-zero-planar", "hops-negative-planar", "hops-zero-wide",
+        "hops-negative-wide",
         "narrow-over-hop-bound", "wide-over-hop-bound", "directory",
         "not-utf8", "unknown-suite", "two-hop-unbounded", "two-hop-other-bound",
     ],
@@ -359,12 +408,41 @@ def test_cli_typed_refusal_is_one_error_line(
     save_instance(gen_random_strip(30, 1.0, 0, min_sep=0.05, span=2), "wide.json")
     save_instance(gen_chain(5, width=0.6), "chain5.json")
     save_instance(gen_chain(6, width=0.6), "chain6.json")
+    save_instance(
+        make_instance([(0.0, 0.0), (0.8, 0.0), (1.6, 0.0)], warn_fragile=False),
+        "planar.json",
+    )
     (tmp_path / "latin1.json").write_bytes(b'{"format": "caf\xe9"}')
     code, out = run_cli(argv.split())
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("error: ") and needle in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+NO_HASHLIB_SCRIPT = """
+import contextlib, io, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+from stripcast import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["solve", sys.argv[2]])
+print(code, sorted({"hashlib", "_hashlib"} & (set(sys.modules) - before)))
+"""
+
+
+def test_solve_process_does_not_load_hashlib(tmp_path):
+    # hashlib maps OpenSSL's libcrypto; only `bench` (criterion_plumbing) needs it
+    path = str(tmp_path / "inst.json")
+    save_instance(gen_chain(10, width=0.6), path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_HASHLIB_SCRIPT, src, path],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cli_two_hop_at_bound_two(tmp_path):
