@@ -17,11 +17,25 @@ such states are dropped - except when the class is the only one, which covers
 solutions whose actives end before the strip does.  Acceptance at the final
 anchor requires at most one class and all input points dominated.
 
-Every state tries every fresh subset, so the fill is bounded by WINDOW_CAP
-points per 2-by-w window; a window holding more raises TractabilityError.
-The paper's density bound ``mu`` (some optimum has at most mu(w) actives in
-any 2-by-w window) is checked against oracle optima but not used by the fill:
-under the cap it is vacuous at w >= 1, where mu(w) >= 32.
+Before the fill, ``_tree_broadcast_set`` builds one broadcast set: the
+inner points of a BFS tree, pruned deepest first while the rest still
+dominates and is connected.  Its size U bounds the fill: no state costing
+more than U is ever built.  Anchor 0 lists fresh subsets only up to size
+U - 1, anchor k only up to U minus the cost of its cheapest state, and each
+state stops at the first subset (they come by size) that would take it past
+U.  This is exact.  Cost never falls along a trajectory, so every state on an
+optimal one costs at most OPT <= U and survives; by induction every key whose
+cheapest cost is at most U keeps that cost, so a connected instance never
+gets a false "infeasible" and the optimum and the final tie-break among
+optima are unchanged.  Only the parent kept among equally cheap ones may
+differ, as pruned states no longer take part in the dicts' insertion order.
+The bound set ignores any hop bound the instance carries, as the fill does.
+
+The fill is still bounded by WINDOW_CAP points per 2-by-w window; a window
+holding more raises TractabilityError.  The paper's density bound ``mu``
+(some optimum has at most mu(w) actives in any 2-by-w window) is checked
+against oracle optima but not used by the fill: under the cap it is vacuous
+at w >= 1, where mu(w) >= 32.
 """
 
 from __future__ import annotations
@@ -40,6 +54,7 @@ from .model import (
     check_answer,
     connected_levels,
     make_broadcast_set,
+    validate_broadcast,
 )
 
 WINDOW_CAP = 16
@@ -112,19 +127,41 @@ def _merge(
     return tuple(out)
 
 
-def _fresh_subsets(pool: int, closed: Sequence[int]):
-    """The pool's subsets by size, then lexicographically (the empty subset
-    first), each as ``(mask, cover mask, size, its classes as (members,
-    cover) groups)``."""
+def _fresh_subsets(pool: int, closed: Sequence[int], max_size: int):
+    """The pool's subsets of at most ``max_size`` points by size, then
+    lexicographically (the empty subset first), each as ``(mask, cover mask,
+    size, its classes as (members, cover) groups)``."""
     items = _bits(pool)
     out = []
-    for size in range(len(items) + 1):
+    for size in range(min(len(items), max_size) + 1):
         for extra in combinations(items, size):
             own = _merge((), ((1 << i, closed[i]) for i in extra))
             groups = tuple((c, _cover(c, closed)) for c in own)
             mask = _mask(extra)
             out.append((mask, _cover(mask, closed), size, groups))
     return out
+
+
+def _tree_broadcast_set(instance: StripInstance) -> BroadcastSet:
+    """The fill's upper bound: a broadcast set from a BFS tree.
+
+    Each non-source point's parent is its lowest-index neighbour one level
+    up; the source and the parents dominate and are connected.  Members are
+    then dropped, deepest level first and by index within a level, while the
+    rest still dominates and is connected.  Any hop bound is ignored.
+    """
+    level = connected_levels(instance).level
+    adj = instance.graph.adj
+    src = instance.source
+    members = {src}
+    for i in range(instance.n):
+        if i != src:
+            members.add(min(j for j in adj[i] if level[j] == level[i] - 1))
+    for i in sorted(members - {src}, key=lambda i: (-level[i], i)):
+        report = validate_broadcast(instance, members - {i})
+        if report.is_dominating and report.is_connected:
+            members.discard(i)
+    return make_broadcast_set(instance, members)
 
 
 def solve_wide(instance: StripInstance) -> BroadcastSet:
@@ -148,6 +185,7 @@ def solve_wide(instance: StripInstance) -> BroadcastSet:
                     f"window {name} holds {load} candidate points (cap {WINDOW_CAP})"
                 )
 
+    bound = _tree_broadcast_set(instance).size
     closed = _closed_masks(instance.graph)
     window = [
         _mask(i for i in range(n) if _in_window(pts[i].x, k))
@@ -158,14 +196,19 @@ def solve_wide(instance: StripInstance) -> BroadcastSet:
     src_bit = 1 << src
     must_cover = _mask(i for i in range(n) if pts[i].x == 0.0)
     states: dict[tuple, tuple[int, tuple | None]] = {}
-    for extra, cover, size, groups in _fresh_subsets(window[0] & ~src_bit, closed):
+    for extra, cover, size, groups in _fresh_subsets(
+        window[0] & ~src_bit, closed, bound - 1
+    ):
         if must_cover & ~(cover | closed[src]):
             continue
         states[(src_bit | extra, _merge((src_bit,), groups))] = (1 + size, None)
 
     trail: list[dict[tuple, tuple[int, tuple | None]]] = [states]
     for k in range(1, k_final + 1):
-        subsets = _fresh_subsets(window[k] & ~window[k - 1], closed)
+        cheapest = min(cost for cost, _ in states.values())
+        subsets = _fresh_subsets(
+            window[k] & ~window[k - 1], closed, bound - cheapest
+        )
         newly_required = _mask(
             i
             for i in range(n)
@@ -180,6 +223,8 @@ def solve_wide(instance: StripInstance) -> BroadcastSet:
             uncovered = newly_required & ~_cover(p_active, closed)
             # once the frontier empties, fresh actives could never reconnect
             for extra, cover, size, groups in subsets if carried else subsets[:1]:
+                if p_cost + size > bound:
+                    break
                 if uncovered & ~cover:
                     continue
                 classes = _merge(kept, groups)

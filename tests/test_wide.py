@@ -13,7 +13,7 @@ from stripcast.model import (
 )
 from stripcast.narrow import solve_narrow
 from stripcast.oracle import brute_min_broadcast
-from stripcast.wide import mu, solve_wide
+from stripcast.wide import _tree_broadcast_set, mu, solve_wide
 from test_oracle import per_source
 
 
@@ -79,6 +79,53 @@ def test_solve_wide_agrees_with_narrow():
         except InfeasibleError:
             continue
         assert a.size == solve_narrow(inst).size
+
+
+def test_solve_wide_agrees_with_narrow_beyond_the_oracle():
+    solved = 0
+    for s in range(30):
+        n = 20 + s % 11
+        w = (0.3, 0.6, 0.86)[s % 3]
+        inst = gen_random_strip(n, w, 500_000 + s, min_sep=0.05, span=n / 12)
+        try:
+            got = solve_wide(inst)
+        except (InfeasibleError, TractabilityError):
+            continue
+        assert got.size == solve_narrow(inst).size
+        solved += 1
+    assert solved >= 26
+
+
+@pytest.mark.parametrize(
+    "seed, active", [(900, (0, 1, 2, 4)), (902, (0, 1, 2, 9, 10))]
+)
+def test_solve_wide_n24_strips(seed, active):
+    # the unpruned fill took 85-100 s on each of these
+    inst = gen_random_strip(24, 1.0, seed, min_sep=0.05, span=2)
+    assert solve_wide(inst).active == active
+
+
+def _assert_upper_bound(inst, optimum_size):
+    bound = _tree_broadcast_set(inst)
+    report = validate_broadcast(inst, bound)
+    assert inst.source in bound
+    assert report.is_dominating and report.is_connected
+    assert bound.size >= optimum_size
+
+
+def test_tree_broadcast_set_bounds_the_optimum():
+    checked = 0
+    for seed in range(216):
+        n = 4 + seed % 13
+        w = (0.3, 0.6, 0.86, 1.0, 1.5, 2.0)[seed % 6]
+        inst = gen_random_strip(n, w, seed + 85_000, min_sep=0.05, span=max(1.0, n / 8))
+        try:
+            want = brute_min_broadcast(inst).size
+        except InfeasibleError:
+            continue
+        _assert_upper_bound(inst, want)
+        checked += 1
+    assert checked > 150
 
 
 def test_wide_monotone_under_added_covered_point():
@@ -200,6 +247,8 @@ def test_fragile_lattice_matches_oracle():
         except InfeasibleError:
             got = None
         seen["infeasible" if want is None else "feasible"] += 1
+        if want is not None:
+            _assert_upper_bound(inst, want)
         if got is None:
             if want is not None:
                 mismatches.append((coords, w))
@@ -211,7 +260,8 @@ def test_fragile_lattice_matches_oracle():
 
 def test_window_dp_matches_oracle_at_benchmark_scale():
     # wide-window-shaped draws: n 11-13 on strips of width 1.0 and 1.5; the
-    # span-1.0 draws keep every |x| <= 1, so the DP holds 2^(n-1) states
+    # span-1.0 draws keep every |x| <= 1, so the whole strip is one window
+    # and the fill lists its subsets up to the bound set's size
     draws = [
         (11, 1.0, 1.0, 8),
         (13, 1.5, 1.0, 8),
