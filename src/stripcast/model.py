@@ -95,10 +95,10 @@ class StripInstance:
 
     ``width`` is None for planar (unbounded) instances.  After normalization
     the source sits at x = 0 and the radius is 1.  ``graph`` and ``fragile``
-    come from one sweep over the points on first use, ``levels`` from one
-    breadth-first search in that graph and ``covering`` from that graph's
-    adjacency; all four are kept with the instance, and equality and hashing
-    see only the four fields.
+    each come from their own sweep over the points on first use, ``levels``
+    from one breadth-first search in that graph and ``covering`` from that
+    graph's adjacency; all four are kept with the instance, and equality and
+    hashing see only the four fields.
     """
 
     points: tuple[Point, ...]
@@ -118,18 +118,14 @@ class StripInstance:
         return self.width is not None and self.width <= NARROW_LIMIT
 
     @cached_property
-    def _swept(self) -> tuple[UnitDiskGraph, bool]:
-        return _sweep(self.points)
-
-    @property
     def graph(self) -> UnitDiskGraph:
         """The closed unit-disk graph: (p, q) is an edge iff dist2(p, q) <= 1."""
-        return self._swept[0]
+        return _sweep(self.points)
 
-    @property
+    @cached_property
     def fragile(self) -> bool:
         """Whether some pairwise distance lies within FRAGILE_TOL of the radius."""
-        return self._swept[1]
+        return _fragile_scan(self.points)
 
     @cached_property
     def levels(self) -> LevelPartition:
@@ -202,29 +198,55 @@ class UnitDiskGraph:
     adj: tuple[frozenset[int], ...]
 
 
-def _sweep(pts: Sequence[Point]) -> tuple[UnitDiskGraph, bool]:
-    """Adjacency and the fragile flag from one x-sorted sweep over the pairs.
-
-    Only pairs whose x-gap is at most 1 + 2 FRAGILE_TOL are looked at: a pair
-    farther apart in x has dist2 > 1 (the square of a float gap above 1) and
-    a distance beyond the fragile band.  dist2 <= 1.0, in dist2's own
-    arithmetic, decides every edge; the square root is taken only for pairs
-    whose dist2 lies within 4 FRAGILE_TOL of 1, a band that holds every
-    distance within FRAGILE_TOL of 1.
-    """
+def _x_sorted(pts: Sequence[Point]) -> tuple[list[int], list[float], list[float]]:
+    """The point indices by x, with their x and y coordinates in that order."""
     for i, p in enumerate(pts):
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise InstanceError(f"point {i} has non-finite coordinates")
+    order = sorted(range(len(pts)), key=lambda i: pts[i].x)
+    return order, [pts[i].x for i in order], [pts[i].y for i in order]
+
+
+def _sweep(pts: Sequence[Point]) -> UnitDiskGraph:
+    """Adjacency from one x-sorted sweep over the pairs.
+
+    Only pairs whose x-gap is at most 1 are looked at: a pair farther apart
+    in x has dist2 > 1 (the square of a float gap above 1).  dist2 <= 1.0, in
+    dist2's own arithmetic, decides every edge.
+    """
+    order, xs, ys = _x_sorted(pts)
     n = len(pts)
-    order = sorted(range(n), key=lambda i: pts[i].x)
-    xs = [pts[i].x for i in order]
-    ys = [pts[i].y for i in order]
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    reach = 1.0 + 2.0 * FRAGILE_TOL
-    band = 4.0 * FRAGILE_TOL
-    fragile = False
     for a in range(n):
         i = order[a]
+        xa = xs[a]
+        ya = ys[a]
+        b = a + 1
+        while b < n:
+            dx = xs[b] - xa
+            if dx > 1.0:
+                break
+            dy = ys[b] - ya
+            if dx * dx + dy * dy <= 1.0:
+                j = order[b]
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+            b += 1
+    return UnitDiskGraph(n, tuple(frozenset(s) for s in nbrs))
+
+
+def _fragile_scan(pts: Sequence[Point]) -> bool:
+    """Whether some pair lies within FRAGILE_TOL of distance 1, by an x-sorted
+    sweep over the pairs whose x-gap is at most 1 + 2 FRAGILE_TOL (a pair
+    farther apart in x is beyond the band).  The square root is taken only
+    for pairs whose dist2 lies within 4 FRAGILE_TOL of 1, a band that holds
+    every distance within FRAGILE_TOL of 1.
+    """
+    _, xs, ys = _x_sorted(pts)
+    n = len(pts)
+    reach = 1.0 + 2.0 * FRAGILE_TOL
+    band = 4.0 * FRAGILE_TOL
+    for a in range(n):
         xa = xs[a]
         ya = ys[a]
         b = a + 1
@@ -234,14 +256,10 @@ def _sweep(pts: Sequence[Point]) -> tuple[UnitDiskGraph, bool]:
                 break
             dy = ys[b] - ya
             d2 = dx * dx + dy * dy
-            if d2 <= 1.0:
-                j = order[b]
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-            if not fragile and abs(d2 - 1.0) < band:
-                fragile = abs(math.sqrt(d2) - 1.0) < FRAGILE_TOL
+            if abs(d2 - 1.0) < band and abs(math.sqrt(d2) - 1.0) < FRAGILE_TOL:
+                return True
             b += 1
-    return UnitDiskGraph(n, tuple(frozenset(s) for s in nbrs)), fragile
+    return False
 
 
 @dataclass(frozen=True)
@@ -451,9 +469,10 @@ def validate_broadcast(
     n = graph.n
     src = instance.source
 
-    uncovered = [
-        i for i in range(n) if i not in active and not (graph.adj[i] & active)
-    ]
+    covered = set(active)
+    for a in active:
+        covered |= graph.adj[a]
+    uncovered = [i for i in range(n) if i not in covered]
     is_dominating = not uncovered
 
     # BFS where only active vertices relay; inactive points are absorbing.

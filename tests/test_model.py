@@ -138,7 +138,7 @@ def test_sweep_matches_all_pairs_definition():
                     seen["band beyond dx 1"] += gap > 1.0
         seen["fragile" if fragile else "robust"] += 1
         want = tuple(frozenset(s) for s in adj)
-        # warn_fragile=True sweeps inside make_instance, False on first use
+        # warn_fragile=True scans inside make_instance, False on first use
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             loud = make_instance(coords, width=w)
@@ -162,7 +162,9 @@ def test_graph_does_not_change_identity():
 
 
 def test_one_sweep_per_cli_solve(tmp_path, monkeypatch):
+    # one graph build per solve, and no fragile scan: the CLI never reads it
     sweeps = []
+    scans = []
     real = model._sweep
 
     def counting(pts):
@@ -170,6 +172,7 @@ def test_one_sweep_per_cli_solve(tmp_path, monkeypatch):
         return real(pts)
 
     monkeypatch.setattr(model, "_sweep", counting)
+    monkeypatch.setattr(model, "_fragile_scan", lambda pts: scans.append(len(pts)))
     depth_two = make_instance(
         [(0.0, 0.25), (0.9, 0.25), (1.7, 0.25), (-0.9, 0.3), (0.5, 0.1)],
         width=0.5,
@@ -196,6 +199,7 @@ def test_one_sweep_per_cli_solve(tmp_path, monkeypatch):
             assert code == 0, (algo, out.getvalue())
             assert "valid: dominating=True connected=True" in out.getvalue()
             assert sweeps == [inst.n], (algo, sweeps)
+    assert scans == []
 
 
 def test_levels_chain():

@@ -17,7 +17,6 @@ from stripcast.twohop import (
     AngularInstance,
     _best_split,
     _collect_disks,
-    _next_after,
     _rotated_prefix,
     _runs_after_prefix,
     angular_order,
@@ -126,7 +125,7 @@ def lookup(table, start, length):
 
 def next_for_disk(ai, i, d):
     """First position from i past disk d's covered prefix."""
-    return _next_after(ai, i, _rotated_prefix(ai, i, d)[1])
+    return (i + _rotated_prefix(ai, i, d)[1]) % ai.m
 
 
 def split_pairs(ai, i, j, d):
@@ -277,7 +276,7 @@ def reference_cover_values(ai):
         row = []
         for d in ai.disks_at[i]:
             offd, runs = _runs_after_prefix(ai, i, d)
-            nxd = _next_after(ai, i, offd)
+            nxd = (i + offd) % m
             reach_i.append(offd)
             if runs:
                 row.append((offd, nxd, runs))
@@ -329,6 +328,50 @@ def test_dominated_disks_keep_interval_costs():
         dropped += len(family.disks) - len(ai.disks)
         assert cover_dp(ai).values == reference_cover_values(family)
     assert dropped > 0
+
+
+def reference_instances():
+    """Two planar draws at each of n = 60, 80 and 100, one at each of n = 160,
+    240 and 320, one where a split's right part decides a cell (rare: 1 of
+    1,503 draws), and two short crowded strips (the benchmark's 2-hop strip
+    shape) whose candidates are two disks; none has a disk covering every
+    outside point."""
+    from stripcast.io_cli import gen_random_strip
+
+    insts = [gen_planar(n, 900_000 + k) for n in (60, 80, 100) for k in range(2)]
+    insts += [gen_planar(n, 900_000 + k) for k, n in enumerate((160, 240, 320))]
+    insts.append(gen_planar(69, 500_007))
+    insts += [
+        gen_random_strip(n, w, 1000, min_sep=0.05, span=1.5)
+        for n, w in ((40, 0.6), (50, 0.8))
+    ]
+    return insts
+
+
+def test_cover_dp_matches_reference_fill():
+    strips = 0
+    for inst in reference_instances():
+        ai = angular_order(inst)
+        assert (1 << ai.m) - 1 not in ai.covers
+        strips += len(ai.disks) == 2
+        want = reference_cover_values(ai)
+        # a cell never falls as its interval grows, the fill's premise
+        for shorter, longer in zip(want[1:], want[2:]):
+            assert all(a <= b for a, b in zip(shorter, longer))
+        assert cover_dp(ai).values == want
+    assert strips == 2
+
+
+def test_solve_two_hop_sets_pinned_to_n_640():
+    # the sets the fill-by-length table gave, before the fill by cost
+    pinned = {
+        (320, 900_000): (0, 12, 21, 24, 56, 57, 70, 73, 77, 109),
+        (320, 900_001): (0, 6, 11, 14, 46, 70, 78, 96, 101, 105, 158),
+        (320, 900_002): (0, 15, 24, 27, 35, 36, 44, 65, 66, 101, 132),
+        (640, 900_000): (0, 12, 21, 56, 147, 154, 214, 216, 262, 281, 310),
+    }
+    for (n, seed), active in pinned.items():
+        assert solve_two_hop(gen_planar(n, seed)).active == active
 
 
 def loop_split(table):
@@ -465,6 +508,16 @@ def test_cover_dp_single_disk_intervals():
     table = cover_dp(ai)
     assert lookup(table, 0, 2) == 1  # disk 6 covers positions 0..1
     assert lookup(table, 0, 3) == 2
+
+
+def test_cover_dp_refuses_a_disk_covering_every_outside_point():
+    # the size-2 answer find_small returns first; the table is never reached
+    inst = planar([(0, 0), (1.5, 0), (1.6, 0.1), (0.9, 0)])
+    ai = angular_order(inst)
+    assert ai.covers == (0b11,)
+    with pytest.raises(ContractError):
+        cover_dp(ai)
+    assert solve_two_hop(inst).active == (0, 3)
 
 
 def test_solve_all_inside():
