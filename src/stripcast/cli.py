@@ -133,9 +133,10 @@ def _cmd_gen(args) -> int:
     elif args.kind == "chain":
         inst = io_cli.gen_chain(args.n, width=args.width)
         meta = {"generator": "chain", "n": args.n}
-    elif args.kind == "bundle":
-        inst = io_cli.gen_bundle(args.variables, args.hops or 2)
-        meta = {"generator": "bundle", "variables": args.variables, "hops": args.hops or 2}
+    elif args.kind in ("bundle", "mirrored-bundle"):
+        gen = io_cli.gen_bundle if args.kind == "bundle" else io_cli.gen_mirrored_bundle
+        inst = gen(args.variables, args.hops or 2)
+        meta = {"generator": args.kind, "variables": args.variables, "hops": args.hops or 2}
     else:
         raise InstanceError(f"unknown generator kind {args.kind!r}")
     if args.hops:
@@ -184,7 +185,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate an instance file")
-    p.add_argument("--kind", default="random-strip", choices=["random-strip", "chain", "bundle"])
+    kinds = ["random-strip", "chain", "bundle", "mirrored-bundle"]
+    p.add_argument("--kind", default="random-strip", choices=kinds)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--width", type=float, default=0.6)
     p.add_argument("--seed", type=int, default=0)

@@ -256,6 +256,15 @@ def gen_bundle(n_strings: int, hops: int) -> StripInstance:
     return inst
 
 
+def gen_mirrored_bundle(n_strings: int, hops: int) -> StripInstance:
+    """``gen_bundle(n_strings, hops)`` plus its mirror image across the
+    source's x: both sides need one full row per string, so a minimum h-hop
+    broadcast has 1 + 2n(h-1) points."""
+    pts = [(p.x, p.y) for p in gen_bundle(n_strings, hops).points]
+    pts += [(-x, y) for x, y in pts[1:]]
+    return make_instance(pts, source=0, width=math.sqrt(3.0) / 2.0, warn_fragile=False)
+
+
 def _check_bundle_adjacency(inst: StripInstance, n_strings: int, hops: int) -> None:
     """The generated coordinates must realize exactly the intended pattern."""
     rows = 2 * n_strings

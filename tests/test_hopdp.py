@@ -3,27 +3,27 @@ from functools import lru_cache
 
 import pytest
 
-from stripcast import hopdp, model
+from stripcast import hopdp, model, narrow
 from stripcast.hopdp import (
     _candidates,
     _cost_rows,
     _root_cost,
     _side_tables,
-    _suffix_pairs,
     _walk_table,
     build_level_dag,
     solve_hop,
 )
-from stripcast.io_cli import gen_bundle, gen_random_strip
+from stripcast.io_cli import gen_bundle, gen_mirrored_bundle, gen_random_strip
 from stripcast.model import (
     ContractError,
     InfeasibleError,
+    InternalError,
     dist2,
     make_broadcast_set,
     make_instance,
     validate_broadcast,
 )
-from stripcast.narrow import backward_level_sets, solve_narrow
+from stripcast.narrow import _path_side, _suffix_pairs, backward_level_sets, solve_narrow
 from stripcast.oracle import brute_min_broadcast
 from stripcast.twohop import solve_two_hop
 from test_wide import _lattice_ulp_strip_corpus
@@ -65,8 +65,10 @@ def one_sided_best(inst):
 
 def candidates(inst):
     """The (path -, tree +), (tree -, path +) and (tree -, tree +) sets that
-    solve_hop chooses from when the narrow set breaks the bound."""
-    return _candidates(inst, build_level_dag(inst))
+    solve_hop chooses from when the (path -, path +) set breaks the bound."""
+    level1 = sorted(inst.levels.levels[1])
+    minus, plus = (_path_side(inst, level1, side, {}) for side in "-+")
+    return _candidates(inst, build_level_dag(inst), minus, plus)
 
 
 def two_sided(inst):
@@ -327,19 +329,12 @@ def test_suffix_pair_table_recurrence_at_benchmark_scale():
     assert cells >= 400
 
 
-def mirrored_bundle(strings, hops):
-    """``gen_bundle(strings, hops)`` plus its mirror image across x = 0."""
-    pts = [(p.x, p.y) for p in gen_bundle(strings, hops).points]
-    pts += [(-x, y) for x, y in pts[1:]]
-    return make_instance(pts, width=math.sqrt(3) / 2, warn_fragile=False)
-
-
 @pytest.mark.parametrize(
     "strings, hops", [(2, 3), (2, 4), (3, 3), (3, 4), (4, 5), (2, 8), (3, 10)]
 )
 def test_mirrored_bundle_two_sided_meets_the_formula(strings, hops):
     # both sides need one full row per string: 1 + 2 * strings * (hops - 1)
-    inst = mirrored_bundle(strings, hops)
+    inst = gen_mirrored_bundle(strings, hops)
     assert inst.n == 1 + 2 * strings * (2 * hops - 1)
     assert inst.levels.depth == hops
     want = 1 + 2 * strings * (hops - 1)
@@ -441,9 +436,11 @@ def test_no_two_hop_set_at_depth_three_to_five():
     assert kept >= 100
 
 
-def test_solve_hop_at_depth_two_is_the_two_hop_set():
+def test_solve_hop_at_depth_two_is_the_two_hop_set(monkeypatch):
     # hop-dense-shaped draws: at t = h = 2 solve_hop returns the exact 2-hop
-    # set, and no other candidate structure finds a smaller valid set
+    # set, with neither a path side nor a level DAG built, and no other
+    # candidate structure finds a smaller valid set
+    insts = []
     for n, w, seed in ((40, 0.86, 3), (50, 0.6, 5), (60, 0.86, 4), (45, 0.3, 5)):
         inst = gen_random_strip(n, w, seed, min_sep=0.05, span=1.5)
         part = inst.levels
@@ -453,6 +450,15 @@ def test_solve_hop_at_depth_two_is_the_two_hop_set():
         for other in candidates(inst):
             if other is not None and validate_broadcast(inst, other, hops=2).valid:
                 assert other.size >= got.size, (seed, other.active)
+        insts.append(inst)
+
+    def refuse(*args):
+        raise AssertionError("path or tree sides built at t = h = 2")
+
+    monkeypatch.setattr(narrow, "backward_level_sets", refuse)
+    monkeypatch.setattr(hopdp, "build_level_dag", refuse)
+    for inst in insts:
+        assert solve_hop(inst, 2).active == solve_two_hop(inst).active
 
 
 def test_solve_hop_solves_large_depth_two_strip():
@@ -490,25 +496,53 @@ def test_solve_hop_fragile_lattice_every_depth():
 
 
 def test_solve_hop_computes_covering_sets_at_most_once(monkeypatch):
-    # solve_narrow and both path sides share the instance's covering sets at
-    # t = h >= 3; the 2-hop path at t = h = 2 needs none
-    calls = []
+    # every pairing at t = h >= 3 shares the instance's covering sets and
+    # levels each path side backwards once, also on the mirrored bundles,
+    # where the (path -, path +) set breaks the bound and the tables run; the
+    # 2-hop path at t = h = 2 needs neither
+    calls, sides = [], []
     covering_sets = model._covering_sets
+    backward = narrow.backward_level_sets
 
     def counted(inst):
         calls.append(inst)
         return covering_sets(inst)
 
+    def counted_backward(inst, side):
+        sides.append(side)
+        return backward(inst, side)
+
     monkeypatch.setattr(model, "_covering_sets", counted)
-    for seed, inst, h in _deep_random_strips():
+    monkeypatch.setattr(narrow, "backward_level_sets", counted_backward)
+    bundles = [
+        ((s, h), gen_mirrored_bundle(s, h), h) for s, h in ((2, 3), (3, 10))
+    ]
+    for seed, inst, h in [*_deep_random_strips(), *bundles]:
         calls.clear()
+        sides.clear()
         solve_hop(inst, h)
         assert len(calls) == 1, seed
+        assert sorted(sides) == sorted(set(sides)), seed
     inst = gen_random_strip(40, 0.86, 3, min_sep=0.05, span=1.5)
     assert inst.levels.depth == 2
     calls.clear()
+    sides.clear()
     solve_hop(inst, 2)
-    assert calls == []
+    assert calls == sides == []
+
+
+def test_solve_hop_checks_the_narrow_set_below_the_depth(monkeypatch):
+    # at t < h the unbounded optimum is returned only once it meets h; a set
+    # needing h + 1 hops is an internal error, not an answer
+    inst = gen_random_strip(10, 0.86, 60089, min_sep=0.05, span=2.0)
+    assert inst.levels.depth == 2
+    detour = make_broadcast_set(inst, [0, 2, 5, 6])
+    report = validate_broadcast(inst, detour)
+    assert report.is_dominating and report.is_connected
+    assert report.max_hops_needed == 4
+    monkeypatch.setattr(narrow, "solve_narrow", lambda inst: detour)
+    with pytest.raises(InternalError, match="max_hops=4, bound 3"):
+        solve_hop(inst, 3)
 
 
 def test_bundle_of_403_points_solves_at_the_formula():

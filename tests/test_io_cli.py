@@ -570,6 +570,24 @@ def test_cli_solves_bundle_of_403_points(tmp_path):
     assert lines[2] == "valid: dominating=True connected=True max_hops=101"
 
 
+def test_cli_solves_mirrored_bundle_at_the_formula(tmp_path):
+    # both sides need one full row per string, so the (path -, path +) set
+    # breaks the bound and the hop DP answers 1 + 2 * 3 * (10 - 1)
+    path = str(tmp_path / "mb.json")
+    code, _ = run_cli(
+        ["gen", "--kind", "mirrored-bundle", "--variables", "3", "--hops", "10"]
+        + ["-o", path]
+    )
+    assert code == 0
+    inst = load_instance(path)
+    assert inst.n == 1 + 2 * 3 * (2 * 10 - 1) and inst.hops == 10
+    code, out = run_cli(["solve", path])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "size 55"
+    assert lines[2] == "valid: dominating=True connected=True max_hops=10"
+
+
 def test_cli_bench_single_suite():
     code, out = run_cli(["bench", "--suite", "density-formula"])
     assert code == 0

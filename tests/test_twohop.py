@@ -540,6 +540,19 @@ def test_solve_matches_oracle():
         assert validate_broadcast(inst, got, hops=2).valid
 
 
+def test_solve_off_the_origin_matches_oracle():
+    # every gen_planar source sits at (0, 0); the angular order must measure
+    # from the source wherever it is (seeds 99 and 165 catch p.y + s.y)
+    for seed in range(300):
+        inst = gen_planar(12, seed)
+        moved = make_instance(
+            [(p.x, p.y + 3.7) for p in inst.points], warn_fragile=False
+        )
+        got = solve_two_hop(moved)
+        assert got.size == solve_two_hop(inst).size, seed
+        assert got.size == brute_min_broadcast(moved, hops=2).size, seed
+
+
 def test_sigma_properties_on_optima():
     for seed in range(60):
         inst = gen_planar(6 + seed % 7, 321_000 + seed)
